@@ -2,7 +2,10 @@
 
 :class:`ColumnShardedEngine` is the work-efficient counterpart of the
 row-split :class:`~repro.core.sharded.ShardedEngine` (§II-F, Table II of the
-paper): the matrix is cut into P **vertical** strips stored as
+paper) — the column scheme of the strip-engine layer
+(:class:`~repro.core.strip_engine.StripEngine`, which owns selection, update
+routing, the async pipeline and the reporting surface).  The matrix is cut
+into P **vertical** strips stored as
 :class:`~repro.formats.dcsc.DCSCMatrix` (hypersparse strips keep their
 column index proportional to their nonzero columns, not to n/P), every
 multiplication
@@ -36,143 +39,113 @@ stale, never approximate, just eager.
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._typing import as_index_array
-from ..errors import BackendError, DimensionMismatchError, NotSupportedError
-from ..formats.coo import COOMatrix
+from ..errors import NotSupportedError
 from ..formats.csc import CSCMatrix
 from ..formats.dcsc import DCSCMatrix
-from ..formats.delta import DeltaLog, apply_delta
+from ..formats.delta import apply_delta
 from ..formats.partition import ColumnSplit, column_split
 from ..formats.sparse_vector import SparseVector
-from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import cost_model_for, scheme_crossover, scheme_features
-from ..parallel.backends import ExecutionBackend, make_backend
+from ..machine.cost_model import scheme_crossover, scheme_features
 from ..parallel.context import ExecutionContext, default_context
-from ..semiring import PLUS_TIMES, Semiring
-from .engine import (
-    DEFAULT_CANDIDATES,
-    CostFit,
-    EngineCall,
-    _density_seed_choice,
-    _ranked_selection,
-)
 from .result import SpMSpVResult
 from .spmspv_column import merge_partial_records, reduce_partials, slice_frontier
-from .vector_ops import check_mask, check_operands
+from .strip_engine import StripEngine
 
 __all__ = ["ColumnShardedEngine", "make_sharded_engine"]
 
 
-class ColumnShardedEngine:
+class ColumnShardedEngine(StripEngine):
     """Column-split, reduction-merged SpMSpV executor for one matrix.
 
-    Parameters
-    ----------
-    matrix:
-        The matrix every multiplication of this engine uses.
-    shards:
-        Partition width P; the matrix is column-split into P vertical DCSC
-        strips (strips may be empty when ``shards > ncols``).
-    ctx:
-        Execution context.  ``ctx.backend`` selects the strip executor
-        (``"emulated"`` | ``"process"``); ``ctx.backend_workers`` caps the
-        process pool.
-    algorithm:
-        Default per-call policy: a registered kernel name (it labels the
-        partial calls and drives adaptive pricing — the private half is
-        shared by the whole kernel family), or ``"auto"`` for adaptive
-        selection over the scheme features.
-    candidates, density_threshold, explore_every:
-        As in :class:`~repro.core.engine.SpMSpVEngine`.
+    Parameters as in :class:`~repro.core.strip_engine.StripEngine`; the
+    matrix is column-split into ``shards`` vertical DCSC strips (strips may
+    be empty when ``shards > ncols``).  ``algorithm`` names a registered
+    kernel (it labels the partial calls and drives adaptive pricing — the
+    private half is shared by the whole kernel family), or ``"auto"``.
     """
 
     scheme = "column"
+    _axis = 1
+    _fit_dim = 5
 
-    def __init__(self, matrix: CSCMatrix, shards: int,
-                 ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "auto",
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 density_threshold: Optional[float] = None,
-                 explore_every: int = 8):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
-
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.matrix = matrix
-        self.ctx = ctx if ctx is not None else default_context()
-        self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
-        self.explore_every = int(explore_every)
-        self.split: ColumnSplit = column_split(matrix, int(shards))
+    def _cut(self, matrix: CSCMatrix, shards: int
+             ) -> Tuple[ColumnSplit, List[DCSCMatrix]]:
+        split = column_split(matrix, shards)
         #: hypersparse per-strip matrices the backend actually executes on;
         #: :attr:`split` keeps the CSC originals for update compaction
         self.dcsc_strips: List[DCSCMatrix] = [
-            DCSCMatrix.from_csc(s) for s in self.split.strips]
-        #: per-strip execution context: one strip per thread, like row-split
-        self.shard_ctx = replace(self.ctx, num_threads=1)
-        self.backend: ExecutionBackend = make_backend(
-            self.ctx.backend, strips=self.dcsc_strips,
-            shard_ctx=self.shard_ctx, dtype=matrix.dtype,
-            use_thread_pool=self.ctx.use_thread_pool,
-            workers=self.ctx.backend_workers, scheme="column")
-        strip_nnz = np.array([s.nnz for s in self.split.strips], dtype=np.float64)
-        mean_nnz = float(strip_nnz.mean()) if len(strip_nnz) else 0.0
-        #: static max/mean stored-entry balance of the column partition
-        self.nnz_balance = float(strip_nnz.max() / mean_nnz) if mean_nnz > 0 else 1.0
-        self.history: List[EngineCall] = []
-        self.max_history = 4096
-        self.total_calls = 0
-        self.total_cost_ms = 0.0
-        self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=5) for name in self.candidates}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
-        self._batches = 0
-        self.compactions = 0
-        #: queued async calls: (ticket, vector, kwargs), drained by gather()
-        self._pending: List[Tuple[int, SparseVector, Dict]] = []
-        self._ticket = 0
-        #: tickets in the order gather() actually executed them (async tests)
-        self.execution_log: List[int] = []
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ #
-    # adaptive selection over scheme features
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        return self.split.num_parts
+            DCSCMatrix.from_csc(s) for s in split.strips]
+        return split, self.dcsc_strips
 
     def call_features(self, x: SparseVector) -> np.ndarray:
         """The (bias, nnz(x), density, P, balance) features of one call."""
         return scheme_features(x.nnz, x.n, self.num_shards, self.nnz_balance)
 
-    def select_algorithm(self, x: SparseVector) -> Tuple[str, bool]:
-        """Pick the kernel label for one input; returns ``(name, explored)``."""
-        phi = self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return _density_seed_choice(self.candidates, x.nnz / max(x.n, 1),
-                                    self.density_threshold), False
+    # ------------------------------------------------------------------ #
+    # strip calls: frontier slices out, one reduction back
+    # ------------------------------------------------------------------ #
+    def _slice_call(self, plan: Dict) -> None:
+        if plan["kwargs"]:
+            raise NotSupportedError(
+                f"column-split execution does not forward kernel-specific "
+                f"options (the merge runs parent-side); got {sorted(plan['kwargs'])}")
+        x = plan["x"]
+        plan["slices"] = slice_frontier(x, self.split.col_ranges)
+        plan["out_dtype"] = np.result_type(self.matrix.dtype, x.dtype)
+
+    def _submit(self, plan: Dict):
+        return self.backend.submit_partial(
+            plan["name"], plan["slices"], semiring=plan["semiring"],
+            mask=plan["mask"], mask_complement=plan["mask_complement"],
+            out_dtype=plan["out_dtype"])
+
+    def _collect(self, token) -> List:
+        return self.backend.gather_partial(token)
+
+    def _combine(self, plan: Dict, partials: List) -> SpMSpVResult:
+        """Reduce the strip partials into one row-sorted result."""
+        x = plan["x"]
+        y, reduce_metrics = reduce_partials(
+            partials, semiring=plan["semiring"], nrows=self.matrix.nrows,
+            x_sorted=x.sorted, out_dtype=plan["out_dtype"])
+        record = merge_partial_records(
+            [p.record for p in partials], algorithm=plan["name"],
+            num_strips=self.num_shards, reduce_metrics=reduce_metrics)
+        df = record.info.get("df", 0)
+        record.info.update({"m": self.matrix.nrows, "n": self.matrix.ncols,
+                            "nnz_A": self.matrix.nnz, "f": x.nnz,
+                            "nnz_y": y.nnz, "shards": self.num_shards,
+                            "early_mask": plan["mask"] is not None})
+        return SpMSpVResult(vector=y, record=record,
+                            info={"f": x.nnz, "df": df, "nnz_y": y.nnz,
+                                  "shards": self.num_shards,
+                                  "scheme": "column"})
 
     # ------------------------------------------------------------------ #
-    # dynamic updates (eager per-strip compaction — no DCSC overlay)
+    # dynamic updates (eager strip rebuild — no DCSC overlay)
+    # ------------------------------------------------------------------ #
+    def _updated_strip_locked(self, s: int) -> bool:
+        return self._compact_strip_locked(s)
+
+    def _rebuild_strip(self, s: int) -> CSCMatrix:
+        new_strip = apply_delta(self.split.strips[s], self.deltas[s])
+        self.dcsc_strips[s] = DCSCMatrix.from_csc(new_strip)
+        self.backend.update_strip(s, self.dcsc_strips[s])
+        return new_strip
+
+    def _block_eligible(self, xs, requested, kwargs) -> bool:
+        # no fused block path: each call ends in a synchronized reduction,
+        # so fusing would serialize the block anyway
+        return False
+
+    # ------------------------------------------------------------------ #
+    # public entry points whose column semantics differ from the row
+    # scheme's; defined here rather than only inherited, because the
+    # benchmark's traced run (e2ebench/) wraps them in this class body
     # ------------------------------------------------------------------ #
     def apply_updates(self, rows, cols, values=None) -> Dict[str, object]:
         """Apply edge updates, routed to the owning column strips.
@@ -186,81 +159,9 @@ class ColumnShardedEngine:
         a wrong or stale answer.  Raises :class:`BackendError` while async
         calls are queued.
         """
-        with self._lock:
-            if self._pending:
-                raise BackendError(
-                    f"apply_updates with {len(self._pending)} async call(s) "
-                    "queued; gather() them first")
-            rows = as_index_array(rows)
-            cols = as_index_array(cols)
-            m, n = self.matrix.shape
-            if len(rows) and (rows.min() < 0 or rows.max() >= m):
-                raise DimensionMismatchError(f"update row out of range for {m} rows")
-            if len(cols) and (cols.min() < 0 or cols.max() >= n):
-                raise DimensionMismatchError(f"update col out of range for {n} cols")
-            if values is not None:
-                values = np.asarray(values, dtype=np.float64)
-                if values.ndim == 0:
-                    values = np.broadcast_to(values, rows.shape).copy()
-            lows = np.array([lo for lo, _hi in self.split.col_ranges])
-            strip_of = np.searchsorted(lows, cols, side="right") - 1
-            compacted: List[int] = []
-            for s in np.unique(strip_of).tolist():
-                sel = strip_of == s
-                lo = self.split.col_ranges[s][0]
-                delta = DeltaLog(self.split.strips[s].shape)
-                if values is None:
-                    delta.delete_edges(rows[sel], cols[sel] - lo)
-                else:
-                    delta.set_edges(rows[sel], cols[sel] - lo, values[sel])
-                new_strip = apply_delta(self.split.strips[s], delta)
-                self.split.strips[s] = new_strip
-                self.dcsc_strips[s] = DCSCMatrix.from_csc(new_strip)
-                self.backend.update_strip(s, self.dcsc_strips[s])
-                compacted.append(s)
-            self.compactions += len(compacted)
-            return {"applied": int(len(rows)), "delta_entries": 0,
-                    "compacted": bool(compacted),
-                    "compacted_strips": compacted}
+        return super().apply_updates(rows, cols, values)
 
-    def compact(self, strip: Optional[int] = None) -> bool:
-        """No-op: the column scheme compacts eagerly inside apply_updates."""
-        return False
-
-    def delta_stats(self) -> Dict[str, object]:
-        return {"events": 0, "entries": 0,
-                "per_strip_entries": [0] * self.num_shards,
-                "compactions": self.compactions}
-
-    def effective_matrix(self) -> CSCMatrix:
-        """The full-column-space matrix this engine currently computes with."""
-        with self._lock:
-            rows_parts, cols_parts, vals_parts = [], [], []
-            for (lo, _hi), strip in zip(self.split.col_ranges, self.split.strips):
-                coo = strip.to_coo()
-                rows_parts.append(coo.rows)
-                cols_parts.append(coo.cols + lo)
-                vals_parts.append(coo.vals)
-            return CSCMatrix.from_coo(
-                COOMatrix(self.matrix.shape,
-                          np.concatenate(rows_parts) if rows_parts else [],
-                          np.concatenate(cols_parts) if cols_parts else [],
-                          np.concatenate(vals_parts) if vals_parts else [],
-                          check=False),
-                sum_duplicates=False)
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
-    def multiply(self, x: SparseVector, *,
-                 semiring: Semiring = PLUS_TIMES,
-                 sorted_output: Optional[bool] = None,
-                 mask: Optional[SparseVector] = None,
-                 mask_complement: bool = False,
-                 algorithm: Optional[str] = None,
-                 _batch: Optional[int] = None,
-                 _explored: bool = False,
-                 **kwargs) -> SpMSpVResult:
+    def multiply(self, x: SparseVector, **call) -> SpMSpVResult:
         """Run ``y <- A x`` as P private strip partials plus one reduction.
 
         Bit-identical to the unsharded engine; the output is always
@@ -268,229 +169,23 @@ class ColumnShardedEngine:
         byte-identical to sorted monolithic outputs and pair-identical to
         unsorted ones regardless of ``sorted_output``.
         """
-        with self._lock:
-            plan = self._plan_call(
-                x, semiring=semiring, sorted_output=sorted_output, mask=mask,
-                mask_complement=mask_complement, algorithm=algorithm,
-                _batch=_batch, _explored=_explored, **kwargs)
-            partials = self.backend.run_partial(
-                plan["name"], plan["slices"], semiring=semiring,
-                mask=mask, mask_complement=mask_complement,
-                out_dtype=plan["out_dtype"])
-            return self._finish_call(plan, partials)
-
-    def _plan_call(self, x: SparseVector, *,
-                   semiring: Semiring = PLUS_TIMES,
-                   sorted_output: Optional[bool] = None,
-                   mask: Optional[SparseVector] = None,
-                   mask_complement: bool = False,
-                   algorithm: Optional[str] = None,
-                   _batch: Optional[int] = None,
-                   _explored: bool = False, **kwargs) -> Dict:
-        """Validate + select + slice one call, without executing it."""
-        from .dispatch import get_algorithm  # late: avoids import cycle
-
-        if kwargs:
-            raise NotSupportedError(
-                f"column-split execution does not forward kernel-specific "
-                f"options (the merge runs parent-side); got {sorted(kwargs)}")
-        check_operands(self.matrix, x)
-        check_mask(mask, self.matrix.nrows)
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = _explored
-        if requested == "auto":
-            name, explored = self.select_algorithm(x)
-        else:
-            name = requested
-        get_algorithm(name)  # validate the kernel name before dispatching
-        return {"x": x, "name": name, "requested": requested,
-                "explored": explored, "semiring": semiring,
-                "mask": mask, "mask_complement": mask_complement,
-                "slices": slice_frontier(x, self.split.col_ranges),
-                "out_dtype": np.result_type(self.matrix.dtype, x.dtype),
-                "x_sorted": x.sorted, "batch": _batch,
-                "t0": time.perf_counter()}
-
-    def _finish_call(self, plan: Dict, partials) -> SpMSpVResult:
-        """Reduce strip partials into one result + all per-call bookkeeping."""
-        x = plan["x"]
-        name = plan["name"]
-        y, reduce_metrics = reduce_partials(
-            partials, semiring=plan["semiring"], nrows=self.matrix.nrows,
-            x_sorted=plan["x_sorted"], out_dtype=plan["out_dtype"])
-        record = merge_partial_records(
-            [p.record for p in partials], algorithm=name,
-            num_strips=self.num_shards, reduce_metrics=reduce_metrics,
-            wall_time_s=time.perf_counter() - plan["t0"])
-        df = record.info.get("df", 0)
-        record.info.update({"m": self.matrix.nrows, "n": self.matrix.ncols,
-                            "nnz_A": self.matrix.nnz, "f": x.nnz,
-                            "nnz_y": y.nnz, "shards": self.num_shards,
-                            "early_mask": plan["mask"] is not None})
-        cost_ms = self._price.record_time_ms(record)
-        if name in self._models:
-            self._models[name].observe(self.call_features(x), cost_ms)
-        self.history.append(EngineCall(
-            index=self.total_calls, algorithm=name, requested=plan["requested"],
-            f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-            explored=plan["explored"], batch=plan["batch"]))
-        self.total_calls += 1
-        self.total_cost_ms += cost_ms
-        self.total_explored += int(plan["explored"])
-        if len(self.history) > 2 * self.max_history:
-            del self.history[:len(self.history) - self.max_history]
-        return SpMSpVResult(vector=y, record=record,
-                            info={"f": x.nnz, "df": df, "nnz_y": y.nnz,
-                                  "shards": self.num_shards,
-                                  "scheme": "column"})
-
-    # ------------------------------------------------------------------ #
-    # blocked execution (looped only — the reduction is inherently per-call)
-    # ------------------------------------------------------------------ #
-    def multiply_block(self, block: SparseVectorBlock, *,
-                       semiring: Semiring = PLUS_TIMES,
-                       sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[SparseVector]]] = None,
-                       mask_complement: bool = False,
-                       algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
-        """Blocked execution of an already-packed block (serving entry point)."""
-        return self.multiply_many(
-            block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
-            masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge)
+        return super().multiply(x, **call)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
-                      semiring: Semiring = PLUS_TIMES,
-                      sorted_output: Optional[bool] = None,
-                      masks: Optional[Sequence[Optional[SparseVector]]] = None,
-                      mask_complement: bool = False,
-                      algorithm: Optional[str] = None,
-                      block_mode: str = "auto",
-                      block_merge: str = "segmented",
-                      **kwargs) -> List[SpMSpVResult]:
+                      block_mode: str = "auto", **call) -> List[SpMSpVResult]:
         """Looped blocked execution of one matrix against many inputs.
 
-        The column scheme has no fused block path — each call's reduction is
-        a synchronization point, so fusing would serialize the block anyway.
-        ``block_mode="auto"`` therefore loops; an explicit ``"fused"``
-        request raises :class:`NotSupportedError` instead of silently
-        running something else.
+        The column scheme has no fused block path, so ``block_mode="auto"``
+        loops; an explicit ``"fused"`` request raises
+        :class:`NotSupportedError` instead of silently running something
+        else.
         """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
         if block_mode == "fused":
             raise NotSupportedError(
                 "column-split execution has no fused block path (each call "
                 "ends in a synchronized reduction); use block_mode='looped' "
                 "or a row-split engine")
-        xs = list(xs)
-        if masks is not None and len(masks) != len(xs):
-            raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
-        with self._lock:
-            batch = self._batches
-            self._batches += 1
-            requested = algorithm if algorithm is not None else self.algorithm
-            explored = False
-            if requested == "auto" and xs:
-                densest = max(xs, key=lambda x: x.nnz)
-                requested, explored = self.select_algorithm(densest)
-            results = []
-            for i, x in enumerate(xs):
-                results.append(self.multiply(
-                    x, semiring=semiring, sorted_output=sorted_output,
-                    mask=masks[i] if masks is not None else None,
-                    mask_complement=mask_complement, algorithm=requested,
-                    _batch=batch, _explored=explored and i == 0, **kwargs))
-            return results
-
-    # ------------------------------------------------------------------ #
-    # async front-end
-    # ------------------------------------------------------------------ #
-    def submit(self, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication; returns its ticket (validated at gather)."""
-        with self._lock:
-            ticket = self._ticket
-            self._ticket += 1
-            self._pending.append((ticket, x, kwargs))
-            return ticket
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (not yet gathered) calls."""
-        return len(self._pending)
-
-    def gather(self) -> List[SpMSpVResult]:
-        """Execute every queued call and return results in submit order.
-
-        Same contract as :meth:`ShardedEngine.gather`: deterministic seeded
-        execution order, pipelined up to ``ctx.backend_inflight`` calls in
-        flight, bookkeeping at drain time, queue cleared even on failure.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if not pending:
-                return []
-            rng = np.random.default_rng(self.ctx.seed + len(pending))
-            order = rng.permutation(len(pending))
-            window = max(1, self.ctx.backend_inflight)
-            inflight: List[Tuple[int, Dict, object]] = []
-            results: Dict[int, SpMSpVResult] = {}
-
-            def drain_one() -> None:
-                ticket, plan, token = inflight.pop(0)
-                results[ticket] = self._finish_call(
-                    plan, self.backend.gather_partial(token))
-
-            try:
-                for pos in order.tolist():
-                    ticket, x, kwargs = pending[pos]
-                    self.execution_log.append(ticket)
-                    plan = self._plan_call(x, **kwargs)
-                    token = self.backend.submit_partial(
-                        plan["name"], plan["slices"],
-                        semiring=plan["semiring"], mask=plan["mask"],
-                        mask_complement=plan["mask_complement"],
-                        out_dtype=plan["out_dtype"])
-                    inflight.append((ticket, plan, token))
-                    if len(inflight) >= window:
-                        drain_one()
-                while inflight:
-                    drain_one()
-            except BaseException:
-                for _ticket, _plan, token in inflight:
-                    self.backend.abandon(token)
-                raise
-            return [results[ticket] for ticket, _x, _kw in pending]
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def algorithms_used(self) -> List[str]:
-        """Distinct kernel labels executed, in first-use order."""
-        seen: "OrderedDict[str, None]" = OrderedDict()
-        for call in self.history:
-            seen.setdefault(call.algorithm, None)
-        return list(seen)
-
-    @property
-    def switch_count(self) -> int:
-        return sum(1 for a, b in zip(self.history, self.history[1:])
-                   if a.algorithm != b.algorithm)
-
-    def close(self) -> None:
-        """Release backend resources (worker pool, shared memory; idempotent)."""
-        self.backend.close()
-
-    def __enter__(self) -> "ColumnShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return super().multiply_many(xs, block_mode=block_mode, **call)
 
     def workspace_stats(self) -> Dict[str, float]:
         """Workspace reuse statistics — all zero for the column scheme.
@@ -502,36 +197,6 @@ class ColumnShardedEngine:
         return {"acquisitions": 0, "allocations": 0, "allocations_saved": 0,
                 "reuse_fraction": 0.0, "bucket_capacity": 0,
                 "spa_rows": self.matrix.nrows, "block_capacity": 0}
-
-    def health_stats(self) -> Dict[str, object]:
-        """Backend resilience accounting; see
-        :meth:`.parallel.backends.ExecutionBackend.health_stats`."""
-        return self.backend.health_stats()
-
-    def summary(self) -> Dict[str, object]:
-        """Aggregate statistics of the engine's lifetime (for reporting)."""
-        return {
-            "calls": self.total_calls,
-            "batches": self._batches,
-            "fused_batches": 0,
-            "algorithms_used": self.algorithms_used(),
-            "switches": self.switch_count,
-            "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
-            "shards": self.num_shards,
-            "scheme": "column",
-            "nnz_balance": self.nnz_balance,
-            "workspace": self.workspace_stats(),
-            "comm": self.backend.comm_stats(),
-            "health": self.backend.health_stats(),
-            "delta_entries": 0,
-            "compactions": self.compactions,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ColumnShardedEngine(matrix={self.matrix.nrows}x"
-                f"{self.matrix.ncols}, shards={self.num_shards}, "
-                f"algorithm={self.algorithm!r}, calls={self.total_calls})")
 
 
 def make_sharded_engine(matrix: CSCMatrix, shards: int,

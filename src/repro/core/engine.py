@@ -90,6 +90,15 @@ def merge_overlay_record(base: ExecutionRecord,
                            wall_time_s=base.wall_time_s + patch.wall_time_s)
 
 
+def _overlay_result(base: SpMSpVResult, patch_result: SpMSpVResult,
+                    patch: CSCMatrix, touched: np.ndarray) -> SpMSpVResult:
+    """A base result corrected by the same call run on the delta patch."""
+    return SpMSpVResult(
+        vector=splice_overlay(base.vector, patch_result.vector, touched),
+        record=merge_overlay_record(base.record, patch_result.record),
+        info=dict(base.info, delta_patch_nnz=patch.nnz))
+
+
 @lru_cache(maxsize=None)
 def _accepts_workspace(fn) -> bool:
     """Whether a registered kernel supports the shared ``workspace=`` signature."""
@@ -150,19 +159,6 @@ class CostFit:
         return max(float(w @ np.asarray(features, dtype=np.float64)), 0.0)
 
 
-def _density_seed_choice(candidates: Sequence[str], density: float,
-                         threshold: float) -> str:
-    """The paper's §V heuristic: matrix-driven once the vector densifies.
-
-    Shared by the monolithic and sharded engines' cold-start selection.
-    """
-    matrix_driven = [c for c in candidates if c in MATRIX_DRIVEN]
-    vector_driven = [c for c in candidates if c not in MATRIX_DRIVEN]
-    if density >= threshold and matrix_driven:
-        return matrix_driven[0]
-    return vector_driven[0] if vector_driven else candidates[0]
-
-
 def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
                       explore_every: int, modeled_count: int
                       ) -> Optional[Tuple[str, bool]]:
@@ -171,7 +167,7 @@ def _ranked_selection(fits: Dict[str, CostFit], phi: np.ndarray,
     ``modeled_count`` is the 1-based index of this modeled decision — every
     ``explore_every``-th one deliberately runs the predicted runner-up to
     keep the losing model fresh.  Shared by the per-call and fused-vs-looped
-    selections of both engines.
+    selections of every engine.
     """
     predictions = {name: fit.predict(phi) for name, fit in fits.items()}
     if not all(p is not None for p in predictions.values()):
@@ -188,7 +184,7 @@ def _mask_keep_fraction(masks: Optional[Sequence[Optional[SparseVector]]],
 
     The mask-selectivity feature of the block cost fits: the structural
     densities of the masks (``nnz/m``, complemented if asked), averaged over
-    the batch with maskless vectors counting as 1.0.  Shared by both engines.
+    the batch with maskless vectors counting as 1.0.  Shared by every engine.
     """
     if masks is None or k == 0:
         return 1.0
@@ -222,7 +218,282 @@ class EngineCall:
     fused: bool = False
 
 
-class SpMSpVEngine:
+class EngineBase:
+    """What every SpMSpV engine shares around the execution of one call.
+
+    The monolithic :class:`SpMSpVEngine` and the strip engines of
+    :mod:`repro.core.strip_engine` differ only in how a call executes.
+    Everything around it lives here:
+
+    * the policy arguments (``algorithm``, ``candidates``,
+      ``density_threshold``, ``explore_every``) and the selection they
+      drive: the paper's §V density seed, handing over to online
+      :class:`CostFit` models over the subclass's ``call_features``;
+    * the :class:`EngineCall` history, its lifetime totals and trimming;
+    * the batch planning of ``multiply_many`` — argument checks, one kernel
+      choice per batch and the fused-vs-looped choice — and its looped path;
+    * the context-manager lifecycle and the summary keys every engine reports.
+
+    Subclasses define ``call_features``, ``select_algorithm`` and
+    ``multiply``; one with a fused block path also defines ``_block_phi``
+    and ``_multiply_fused``.
+    """
+
+    #: width of the subclass's ``call_features`` (the kernel fits' input)
+    _fit_dim = 4
+
+    def __init__(self, matrix: CSCMatrix, ctx: Optional[ExecutionContext] = None, *,
+                 algorithm: str = "auto",
+                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
+                 density_threshold: Optional[float] = None,
+                 explore_every: int = 8):
+        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
+
+        self.matrix = matrix
+        self.ctx = ctx if ctx is not None else default_context()
+        self.algorithm = algorithm
+        self.candidates = tuple(candidates)
+        if not self.candidates:
+            raise ValueError("engine needs at least one candidate algorithm")
+        self.density_threshold = (density_threshold if density_threshold is not None
+                                  else AUTO_DENSITY_SWITCH)
+        self.explore_every = int(explore_every)
+        #: recent dispatch decisions (trimmed beyond max_history; lifetime
+        #: aggregates live in total_calls / total_cost_ms / total_explored)
+        self.history: List[EngineCall] = []
+        self.max_history = 4096
+        self.total_calls = 0
+        self.total_cost_ms = 0.0
+        self.total_explored = 0
+        self._models: Dict[str, CostFit] = {
+            name: CostFit(dim=self._fit_dim) for name in self.candidates}
+        #: wall-clock fits of blocked execution ('fused' vs 'looped'), over the
+        #: block features (k, total nnz, union width, sharing ratio, mask
+        #: selectivity, merge-segment count)
+        self._block_fits: Dict[str, CostFit] = {
+            mode: CostFit(dim=7) for mode in ("fused", "looped")}
+        self._price = cost_model_for(self.ctx.platform)
+        self._modeled_calls = 0
+        self._modeled_blocks = 0
+        self._batches = 0
+        self._fused_batches = 0
+        self.compact_fraction = COMPACT_FRACTION
+        self.compactions = 0
+        # one call at a time per engine: workspaces are not reentrant, and
+        # the batch entry points hold the lock across their per-vector calls
+        self._lock = threading.RLock()
+
+    # ------------------------------------------------------------------ #
+    # adaptive selection
+    # ------------------------------------------------------------------ #
+    def _seed_choice(self, density: float) -> str:
+        """The paper's §V heuristic: matrix-driven once the vector densifies."""
+        matrix_driven = [c for c in self.candidates if c in MATRIX_DRIVEN]
+        vector_driven = [c for c in self.candidates if c not in MATRIX_DRIVEN]
+        if density >= self.density_threshold and matrix_driven:
+            return matrix_driven[0]
+        return vector_driven[0] if vector_driven else self.candidates[0]
+
+    def _select(self, x: SparseVector, phi: np.ndarray) -> Tuple[str, bool]:
+        """The kernel for ``x`` with call features ``phi``: ``(name, explored)``.
+
+        The density seed decides until every candidate's fit is trained.
+        """
+        choice = _ranked_selection(self._models, phi, self.explore_every,
+                                   self._modeled_calls + 1)
+        if choice is not None:
+            self._modeled_calls += 1
+            return choice
+        return self._seed_choice(x.nnz / max(x.n, 1)), False
+
+    def _record_call(self, algorithm: str, requested: str, x: SparseVector,
+                     cost_ms: float, explored: bool, batch: Optional[int],
+                     fused: bool = False) -> None:
+        """Append one dispatch decision to the history and the lifetime totals."""
+        self.history.append(EngineCall(
+            index=self.total_calls, algorithm=algorithm, requested=requested,
+            f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
+            explored=explored, batch=batch, fused=fused))
+        self.total_calls += 1
+        self.total_cost_ms += cost_ms
+        self.total_explored += int(explored)
+        if len(self.history) > 2 * self.max_history:
+            # cached engines live for the process: keep memory bounded
+            del self.history[:len(self.history) - self.max_history]
+
+    # ------------------------------------------------------------------ #
+    # blocked execution
+    # ------------------------------------------------------------------ #
+    def _block_eligible(self, xs: List[SparseVector], requested: str,
+                        kwargs: Dict) -> bool:
+        """Whether this batch can run through the fused block kernel.
+
+        The fused kernel is the block variant of the bucket algorithm, so the
+        batch must have resolved to ``"bucket"``; it also needs ≥ 2 vectors of
+        one dtype (mixed-dtype blocks would promote the value slab and break
+        bit-identity with per-vector calls) and no kernel-specific kwargs.
+        """
+        return (requested == "bucket" and len(xs) >= 2 and not kwargs
+                and len({x.dtype for x in xs}) == 1)
+
+    @staticmethod
+    def _block_stats(xs: List[SparseVector]) -> Tuple[int, int]:
+        """``(total_nnz, union_nnz)`` of a batch, without building the block.
+
+        The fused-vs-looped decision only needs these two scalars; the full
+        :class:`SparseVectorBlock` (value slab, membership mask, positions)
+        is O(union x k) and is built only for batches that actually fuse.
+        """
+        total_nnz = sum(x.nnz for x in xs)
+        nonempty = [x.indices for x in xs if x.nnz]
+        union_nnz = int(len(np.unique(np.concatenate(nonempty)))) if nonempty else 0
+        return total_nnz, union_nnz
+
+    def _select_block_mode(self, phi: np.ndarray, k: int, sharing: float
+                           ) -> Tuple[str, bool]:
+        """Fused or looped execution for one block, from its block features.
+
+        Seeded by a sharing/width heuristic — fuse wide blocks (k ≥ 4), and
+        narrower ones only when their column unions overlap enough for the
+        shared gather to pay — then refined online from *measured wall time*
+        of fused and looped batches over the block features
+        ``(k, total nnz, union width, sharing)``.  Wall time, not simulated
+        time, because the two paths do the same algorithmic work: fusion wins
+        by eliminating per-vector dispatch and gather overhead, which only
+        the clock sees.
+        """
+        choice = _ranked_selection(self._block_fits, phi, self.explore_every,
+                                   self._modeled_blocks + 1)
+        if choice is not None:
+            self._modeled_blocks += 1
+            return choice
+        if k >= 4 or sharing >= 1.5:
+            return "fused", False
+        return "looped", False
+
+    def _plan_batch(self, xs: Sequence[SparseVector],
+                    masks: Optional[Sequence[Optional[SparseVector]]],
+                    mask_complement: bool, algorithm: Optional[str],
+                    block_mode: str, block_merge: str, kwargs: Dict
+                    ) -> Tuple[List[SparseVector], int, str, bool, str,
+                               Optional[np.ndarray]]:
+        """Argument checks and the two decisions of one ``multiply_many`` batch.
+
+        Under ``"auto"`` the whole batch gets one kernel, chosen for its
+        *densest* vector (the worst case for a vector-driven kernel).  A
+        batch the fused block kernel can serve then runs fused or looped per
+        :meth:`_select_block_mode`, unless ``block_mode`` forces the choice
+        (forcing ``"fused"`` on an ineligible batch — e.g. a single surviving
+        BFS frontier — quietly loops, which is bit-identical anyway).
+
+        Returns ``(xs, batch, requested, explored, mode, phi)``: ``explored``
+        flags the exploration the chosen path made, and ``phi`` holds the
+        block features of an eligible batch (else None).
+        """
+        if block_mode not in ("auto", "fused", "looped"):
+            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
+        if block_merge not in ("segmented", "global"):
+            raise ValueError(
+                f"block_merge must be segmented|global, got {block_merge!r}")
+        xs = list(xs)
+        if masks is not None and len(masks) != len(xs):
+            raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
+        batch = self._batches
+        self._batches += 1
+        requested = algorithm if algorithm is not None else self.algorithm
+        explored = False
+        if requested == "auto" and xs:
+            densest = max(xs, key=lambda x: x.nnz)
+            requested, explored = self.select_algorithm(densest)
+        mode = "looped"
+        phi: Optional[np.ndarray] = None
+        if self._block_eligible(xs, requested, kwargs):
+            total_nnz, union_nnz = self._block_stats(xs)
+            phi = self._block_phi(len(xs), total_nnz, union_nnz,
+                                  _mask_keep_fraction(masks, mask_complement,
+                                                      len(xs), self.matrix.nrows))
+            if block_mode == "auto":
+                mode, block_explored = self._select_block_mode(
+                    phi, len(xs), total_nnz / max(union_nnz, 1))
+                explored = explored or (block_explored and mode == "fused")
+            else:
+                mode = block_mode
+        return xs, batch, requested, explored, mode, phi
+
+    def _multiply_looped(self, xs: List[SparseVector],
+                         phi: Optional[np.ndarray], *, batch: int,
+                         requested: str, explored: bool,
+                         masks: Optional[Sequence[Optional[SparseVector]]],
+                         kwargs: Dict, **call) -> List[SpMSpVResult]:
+        """The per-vector loop of a batch, observed by the looped block fit."""
+        # observed window spans the same per-call pricing/bookkeeping the
+        # fused window spans, so the two wall-time fits stay comparable
+        t0 = time.perf_counter()
+        results = [self.multiply(
+            x, mask=masks[i] if masks is not None else None,
+            algorithm=requested, _batch=batch,
+            # one exploration decision per batch: flag only its first call
+            _explored=explored and i == 0, **call, **kwargs)
+            for i, x in enumerate(xs)]
+        if phi is not None:
+            self._block_fits["looped"].observe(
+                phi, (time.perf_counter() - t0) * 1e3)
+        return results
+
+    # ------------------------------------------------------------------ #
+    # lifecycle and introspection (consumed by repro.analysis.reporting)
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Release engine resources (the monolithic engine holds none)."""
+
+    def health_stats(self) -> Dict[str, object]:
+        """Resilience accounting, shape-compatible across engines.
+
+        An in-process engine has no workers to lose, so every counter is
+        zero — serving layers can aggregate health over a mixed engine
+        fleet without special-casing."""
+        return {"worker_deaths": [], "respawns": 0, "retries": 0,
+                "fallback_calls": 0, "fallback_strips": 0, "deadline_hits": 0}
+
+    def __enter__(self) -> "EngineBase":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def algorithms_used(self) -> List[str]:
+        """Distinct kernels executed, in first-use order."""
+        seen: "OrderedDict[str, None]" = OrderedDict()
+        for call in self.history:
+            seen.setdefault(call.algorithm, None)
+        return list(seen)
+
+    @property
+    def switch_count(self) -> int:
+        """How many times consecutive calls used different algorithms."""
+        return sum(1 for a, b in zip(self.history, self.history[1:])
+                   if a.algorithm != b.algorithm)
+
+    def summary(self) -> Dict[str, object]:
+        """Aggregate statistics of the engine's lifetime (for reporting).
+
+        ``algorithms_used`` and ``switches`` are computed over the retained
+        history window (``max_history`` recent calls); the scalar totals are
+        lifetime counters.
+        """
+        return {
+            "calls": self.total_calls,
+            "batches": self._batches,
+            "fused_batches": self._fused_batches,
+            "algorithms_used": self.algorithms_used(),
+            "switches": self.switch_count,
+            "explored_calls": self.total_explored,
+            "total_cost_ms": self.total_cost_ms,
+            "compactions": self.compactions,
+        }
+
+
+class SpMSpVEngine(EngineBase):
     """Persistent-workspace, adaptively-dispatched SpMSpV executor for one matrix.
 
     Parameters
@@ -255,55 +526,19 @@ class SpMSpVEngine:
                  density_threshold: Optional[float] = None,
                  explore_every: int = 8,
                  workspace: Optional[SpMSpVWorkspace] = None):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
-
-        self.matrix = matrix
-        self.ctx = ctx if ctx is not None else default_context()
-        self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
-        self.explore_every = int(explore_every)
+        super().__init__(matrix, ctx, algorithm=algorithm, candidates=candidates,
+                         density_threshold=density_threshold,
+                         explore_every=explore_every)
         self.workspace = (workspace if workspace is not None
                           else SpMSpVWorkspace(matrix.nrows, dtype=matrix.dtype))
-        #: recent dispatch decisions (trimmed beyond max_history; lifetime
-        #: aggregates live in total_calls / total_cost_ms / total_explored)
-        self.history: List[EngineCall] = []
-        self.max_history = 4096
-        self.total_calls = 0
-        self.total_cost_ms = 0.0
-        self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=4) for name in self.candidates}
-        #: wall-clock fits of blocked execution ('fused' vs 'looped'), over the
-        #: block features (k, total nnz, union width, sharing ratio, mask
-        #: selectivity, merge-segment count)
-        self._block_fits: Dict[str, CostFit] = {
-            mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
-        self._modeled_blocks = 0
-        self._batches = 0
-        self._fused_batches = 0
         #: pending edge updates overlaid on self.matrix (see formats.delta)
         self.delta = DeltaLog(matrix.shape)
-        self.compact_fraction = COMPACT_FRACTION
-        self.compactions = 0
         self._patch: Optional[Tuple[CSCMatrix, np.ndarray]] = None
         self._row_nnz: Optional[np.ndarray] = None
-        # one multiplication at a time per engine: concurrent callers of the
-        # spmspv shim share this engine's workspace, which is not reentrant
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # adaptive selection
     # ------------------------------------------------------------------ #
-    def _seed_choice(self, density: float) -> str:
-        """The paper's §V heuristic: matrix-driven once the vector densifies."""
-        return _density_seed_choice(self.candidates, density, self.density_threshold)
-
     def call_features(self, x: SparseVector) -> np.ndarray:
         """The (bias, nnz(x), density, nzc) features of one call on this matrix.
 
@@ -326,15 +561,8 @@ class SpMSpVEngine:
         ``features`` lets a caller that already computed :meth:`call_features`
         (the nzc probe is O(nnz(x))) pass them in instead of recomputing.
         """
-        f = x.nnz
-        density = f / max(x.n, 1)
-        phi = features if features is not None else self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return self._seed_choice(density), False
+        return self._select(x, features if features is not None
+                            else self.call_features(x))
 
     # ------------------------------------------------------------------ #
     # dynamic updates (delta overlay)
@@ -408,22 +636,6 @@ class SpMSpVEngine:
             self._patch = build_patch(self.matrix, self.delta)
         return self._patch
 
-    def _overlay_locked(self, fn, base: SpMSpVResult, x: SparseVector, *,
-                        semiring: Semiring, sorted_output: Optional[bool],
-                        mask: Optional[SparseVector], mask_complement: bool,
-                        kwargs: Dict) -> SpMSpVResult:
-        """Patch-correct one base result (same kernel, same inputs, same mask)."""
-        patch, touched = self._patch
-        pres = fn(patch, x, self.ctx, semiring=semiring,
-                  sorted_output=sorted_output, mask=mask,
-                  mask_complement=mask_complement, **kwargs)
-        vector = splice_overlay(base.vector, pres.vector, touched)
-        info = dict(base.info)
-        info["delta_patch_nnz"] = patch.nnz
-        return SpMSpVResult(vector=vector,
-                            record=merge_overlay_record(base.record, pres.record),
-                            info=info)
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -455,65 +667,27 @@ class SpMSpVEngine:
                 workspace = self.workspace
             if _accepts_workspace(fn):
                 kwargs = dict(kwargs, workspace=workspace)
-            result = fn(self.matrix, x, self.ctx, semiring=semiring,
-                        sorted_output=sorted_output, mask=mask,
+            call = dict(semiring=semiring, sorted_output=sorted_output, mask=mask,
                         mask_complement=mask_complement, **kwargs)
-            if self._patch_pair_locked() is not None:
-                result = self._overlay_locked(
-                    fn, result, x, semiring=semiring,
-                    sorted_output=sorted_output, mask=mask,
-                    mask_complement=mask_complement, kwargs=kwargs)
+            result = fn(self.matrix, x, self.ctx, **call)
+            pair = self._patch_pair_locked()
+            if pair is not None:
+                # patch-correct the base result: same kernel, inputs and mask
+                patch, touched = pair
+                result = _overlay_result(result, fn(patch, x, self.ctx, **call),
+                                         patch, touched)
 
             cost_ms = self._price.record_time_ms(result.record)
             if name in self._models:
                 if phi is None:
                     phi = self.call_features(x)
                 self._models[name].observe(phi, cost_ms)
-            self.history.append(EngineCall(
-                index=self.total_calls, algorithm=name, requested=requested,
-                f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-                explored=explored, batch=_batch))
-            self.total_calls += 1
-            self.total_cost_ms += cost_ms
-            self.total_explored += int(explored)
-            if len(self.history) > 2 * self.max_history:
-                # cached engines live for the process: keep memory bounded
-                del self.history[:len(self.history) - self.max_history]
+            self._record_call(name, requested, x, cost_ms, explored, _batch)
             return result
 
     # ------------------------------------------------------------------ #
     # blocked execution
     # ------------------------------------------------------------------ #
-    def _block_eligible(self, xs: List[SparseVector], requested: str,
-                        kwargs: Dict) -> bool:
-        """Whether this batch can run through the fused block kernel.
-
-        The fused kernel is the block variant of the bucket algorithm, so the
-        batch must have resolved to ``"bucket"``; it also needs ≥ 2 vectors of
-        one dtype (mixed-dtype blocks would promote the value slab and break
-        bit-identity with per-vector calls) and no kernel-specific kwargs.
-        """
-        return (requested == "bucket" and len(xs) >= 2 and not kwargs
-                and len({x.dtype for x in xs}) == 1)
-
-    @staticmethod
-    def _block_stats(xs: List[SparseVector]) -> Tuple[int, int]:
-        """``(total_nnz, union_nnz)`` of a batch, without building the block.
-
-        The fused-vs-looped decision only needs these two scalars; the full
-        :class:`SparseVectorBlock` (value slab, membership mask, positions)
-        is O(union x k) and is built only for batches that actually fuse.
-        """
-        total_nnz = sum(x.nnz for x in xs)
-        nonempty = [x.indices for x in xs if x.nnz]
-        union_nnz = int(len(np.unique(np.concatenate(nonempty)))) if nonempty else 0
-        return total_nnz, union_nnz
-
-    def _mask_keep_fraction(self, masks: Optional[Sequence[Optional[SparseVector]]],
-                            mask_complement: bool, k: int) -> float:
-        """The mask-selectivity feature of the block fits (shared helper)."""
-        return _mask_keep_fraction(masks, mask_complement, k, self.matrix.nrows)
-
     def _block_phi(self, k: int, total_nnz: int, union_nnz: int,
                    mask_keep: float) -> np.ndarray:
         """The block feature vector, with this engine's merge-segment count."""
@@ -526,31 +700,9 @@ class SpMSpVEngine:
         """Fused or looped execution for one block; returns ``(mode, explored)``."""
         return self._select_block_mode(
             self._block_phi(block.k, block.total_nnz, block.union_nnz,
-                            self._mask_keep_fraction(masks, mask_complement,
-                                                     block.k)),
+                            _mask_keep_fraction(masks, mask_complement,
+                                                block.k, self.matrix.nrows)),
             block.k, block.sharing_ratio())
-
-    def _select_block_mode(self, phi: np.ndarray, k: int, sharing: float
-                           ) -> Tuple[str, bool]:
-        """The decision behind :meth:`select_block_mode`, from precomputed features.
-
-        Seeded by a sharing/width heuristic — fuse wide blocks (k ≥ 4), and
-        narrower ones only when their column unions overlap enough for the
-        shared gather to pay — then refined online from *measured wall time*
-        of fused and looped batches over the block features
-        ``(k, total nnz, union width, sharing)``.  Wall time, not simulated
-        time, because the two paths do the same algorithmic work: fusion wins
-        by eliminating per-vector dispatch and gather overhead, which only
-        the clock sees.
-        """
-        choice = _ranked_selection(self._block_fits, phi, self.explore_every,
-                                   self._modeled_blocks + 1)
-        if choice is not None:
-            self._modeled_blocks += 1
-            return choice
-        if k >= 4 or sharing >= 1.5:
-            return "fused", False
-        return "looped", False
 
     def multiply_block(self, block: SparseVectorBlock, *,
                        semiring: Semiring = PLUS_TIMES,
@@ -605,72 +757,23 @@ class SpMSpVEngine:
         results.  This is the multi-source BFS / blocked PageRank entry
         point.
         """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
-        xs = list(xs)
-        if masks is not None and len(masks) != len(xs):
-            raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
-        batch = self._batches
-        self._batches += 1
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = False
-        if requested == "auto" and xs:
-            densest = max(xs, key=lambda x: x.nnz)
-            requested, explored = self.select_algorithm(densest)
-
-        eligible = self._block_eligible(xs, requested, kwargs)
-        mode = "looped"
-        block_explored = False
-        phi: Optional[np.ndarray] = None
-        if eligible:
-            total_nnz, union_nnz = self._block_stats(xs)
-            phi = self._block_phi(len(xs), total_nnz, union_nnz,
-                                  self._mask_keep_fraction(masks, mask_complement,
-                                                           len(xs)))
-            if block_mode == "auto":
-                mode, block_explored = self._select_block_mode(
-                    phi, len(xs), total_nnz / max(union_nnz, 1))
-            else:
-                # forced mode: fused only applies to eligible batches — an
-                # ineligible one (e.g. a single surviving BFS frontier) quietly
-                # runs the per-vector loop, which is bit-identical anyway
-                mode = block_mode
-
+        xs, batch, requested, explored, mode, phi = self._plan_batch(
+            xs, masks, mask_complement, algorithm, block_mode, block_merge, kwargs)
+        call = dict(semiring=semiring, sorted_output=sorted_output, masks=masks,
+                    mask_complement=mask_complement)
         if mode == "fused":
-            return self._multiply_block(
-                xs, phi, batch=batch,
-                semiring=semiring, sorted_output=sorted_output, masks=masks,
-                mask_complement=mask_complement, requested=requested,
-                explored=explored or block_explored, block_merge=block_merge,
-                block=_block)
+            return self._multiply_fused(
+                xs, phi, batch=batch, requested=requested, explored=explored,
+                block_merge=block_merge, block=_block, **call)
+        return self._multiply_looped(xs, phi, batch=batch, requested=requested,
+                                     explored=explored, kwargs=kwargs, **call)
 
-        # observed window spans the same per-call pricing/bookkeeping the
-        # fused window spans, so the two wall-time fits stay comparable
-        t0 = time.perf_counter()
-        results = []
-        for i, x in enumerate(xs):
-            results.append(self.multiply(
-                x, semiring=semiring, sorted_output=sorted_output,
-                mask=masks[i] if masks is not None else None,
-                mask_complement=mask_complement, algorithm=requested,
-                # one exploration decision per batch: flag only its first call
-                _batch=batch, _explored=explored and i == 0, **kwargs))
-        if eligible:
-            self._block_fits["looped"].observe(
-                phi, (time.perf_counter() - t0) * 1e3)
-        return results
-
-    def _multiply_block(self, xs: List[SparseVector],
-                        phi: Optional[np.ndarray], *, batch: int,
-                        semiring: Semiring, sorted_output: Optional[bool],
+    def _multiply_fused(self, xs: List[SparseVector], phi: np.ndarray, *,
+                        batch: int, semiring: Semiring,
+                        sorted_output: Optional[bool],
                         masks: Optional[Sequence[Optional[SparseVector]]],
-                        mask_complement: bool, requested: str,
-                        explored: bool,
-                        block_merge: str = "segmented",
-                        block: Optional[SparseVectorBlock] = None
+                        mask_complement: bool, requested: str, explored: bool,
+                        block_merge: str, block: Optional[SparseVectorBlock]
                         ) -> List[SpMSpVResult]:
         """Run one batch through the fused block kernel, observing its cost."""
         from .spmspv_block import spmspv_bucket_block  # late: avoids import cycle
@@ -683,31 +786,16 @@ class SpMSpVEngine:
             t0 = time.perf_counter()
             if block is None:
                 block = SparseVectorBlock.from_vectors(xs)
-            if phi is None:
-                phi = self._block_phi(block.k, block.total_nnz, block.union_nnz,
-                                      self._mask_keep_fraction(
-                                          masks, mask_complement, block.k))
-            results = spmspv_bucket_block(
-                self.matrix, block, self.ctx, semiring=semiring,
-                sorted_output=sorted_output, masks=masks,
-                mask_complement=mask_complement, merge=block_merge,
-                workspace=self.workspace)
+            call = dict(semiring=semiring, sorted_output=sorted_output,
+                        masks=masks, mask_complement=mask_complement,
+                        merge=block_merge, workspace=self.workspace)
+            results = spmspv_bucket_block(self.matrix, block, self.ctx, **call)
             pair = self._patch_pair_locked()
             if pair is not None:
                 patch, touched = pair
-                presults = spmspv_bucket_block(
-                    patch, block, self.ctx, semiring=semiring,
-                    sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, merge=block_merge,
-                    workspace=self.workspace)
-                results = [
-                    SpMSpVResult(
-                        vector=splice_overlay(r.vector, p.vector, touched),
-                        record=merge_overlay_record(r.record, p.record),
-                        info=dict(r.info, delta_patch_nnz=patch.nnz))
-                    for r, p in zip(results, presults)]
+                results = [_overlay_result(r, p, patch, touched) for r, p in zip(
+                    results, spmspv_bucket_block(patch, block, self.ctx, **call))]
             self._fused_batches += 1
-            nnzs = block.nnz_per_vector()
             # block-aware exploration of the per-call models: each fused
             # vector's share of the block cost is an observation of what the
             # bucket algorithm costs on that frontier, so fused batches keep
@@ -720,84 +808,21 @@ class SpMSpVEngine:
             # train the fit systematically low — those observations are
             # skipped rather than corrected (the merge side is not amortized,
             # so no single scale factor fixes both).
-            sharing = block.sharing_ratio()
-            bucket_fit = self._models.get("bucket") if sharing <= 1.25 else None
+            bucket_fit = self._models.get("bucket") if block.sharing_ratio() <= 1.25 else None
             for i, result in enumerate(results):
                 cost_ms = self._price.record_time_ms(result.record)
                 if bucket_fit is not None:
                     bucket_fit.observe(self.call_features(xs[i]), cost_ms)
-                f = int(nnzs[i])
-                self.history.append(EngineCall(
-                    index=self.total_calls, algorithm="bucket_block",
-                    requested=requested, f=f, density=f / max(block.n, 1),
-                    cost_ms=cost_ms, explored=explored and i == 0, batch=batch,
-                    fused=True))
-                self.total_calls += 1
-                self.total_cost_ms += cost_ms
+                self._record_call("bucket_block", requested, xs[i], cost_ms,
+                                  explored and i == 0, batch, fused=True)
             self._block_fits["fused"].observe(
                 phi, (time.perf_counter() - t0) * 1e3)
-            self.total_explored += int(explored)
-            if len(self.history) > 2 * self.max_history:
-                del self.history[:len(self.history) - self.max_history]
             return results
 
-    # ------------------------------------------------------------------ #
-    # lifecycle: symmetric with ShardedEngine, whose process backend holds
-    # real resources — callers can treat any engine as a context manager
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release engine resources (the monolithic engine holds none)."""
-
-    def health_stats(self) -> Dict[str, object]:
-        """Resilience accounting, shape-compatible with sharded engines.
-
-        The monolithic engine has no workers to lose, so every counter is
-        zero — serving layers can aggregate health over a mixed engine
-        fleet without special-casing."""
-        return {"worker_deaths": [], "respawns": 0, "retries": 0,
-                "fallback_calls": 0, "fallback_strips": 0, "deadline_hits": 0}
-
-    def __enter__(self) -> "SpMSpVEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # introspection (consumed by repro.analysis.reporting)
-    # ------------------------------------------------------------------ #
-    def algorithms_used(self) -> List[str]:
-        """Distinct kernels executed, in first-use order."""
-        seen: "OrderedDict[str, None]" = OrderedDict()
-        for call in self.history:
-            seen.setdefault(call.algorithm, None)
-        return list(seen)
-
-    @property
-    def switch_count(self) -> int:
-        """How many times consecutive calls used different algorithms."""
-        return sum(1 for a, b in zip(self.history, self.history[1:])
-                   if a.algorithm != b.algorithm)
-
     def summary(self) -> Dict[str, object]:
-        """Aggregate statistics of the engine's lifetime (for reporting).
-
-        ``algorithms_used`` and ``switches`` are computed over the retained
-        history window (``max_history`` recent calls); the scalar totals are
-        lifetime counters.
-        """
-        return {
-            "calls": self.total_calls,
-            "batches": self._batches,
-            "fused_batches": self._fused_batches,
-            "algorithms_used": self.algorithms_used(),
-            "switches": self.switch_count,
-            "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
-            "workspace": self.workspace.stats(),
-            "delta_entries": self.delta.entries,
-            "compactions": self.compactions,
-        }
+        """Aggregate statistics of the engine's lifetime (see :meth:`EngineBase.summary`)."""
+        return dict(super().summary(), workspace=self.workspace.stats(),
+                    delta_entries=self.delta.entries)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"SpMSpVEngine(matrix={self.matrix.nrows}x{self.matrix.ncols}, "

@@ -1,20 +1,21 @@
-"""Sharded SpMSpV execution: partition-aware engine with scheduled per-shard kernels.
+"""Row-split sharded SpMSpV execution: P row strips, concatenated results.
 
 The paper's algorithm is designed around partitioned execution — per-thread
 buckets over row strips — yet the :class:`~repro.core.engine.SpMSpVEngine`
 runs every multiplication against one monolithic matrix.
-:class:`ShardedEngine` closes that gap at the *engine* level:
+:class:`ShardedEngine` is the row-split scheme of the strip-engine layer
+(:class:`~repro.core.strip_engine.StripEngine`, which owns selection, update
+routing, the async pipeline and the reporting surface).  Its own decisions:
 
 * the matrix is **row-split** into P strips
   (:func:`repro.formats.partition.row_split`, the §II-F scheme the CombBLAS
   and GraphMat baselines distribute with), each strip owning its own
   persistent :class:`~repro.core.workspace.SpMSpVWorkspace`;
 * every multiplication issues one **independent per-strip SpMSpV call**
-  (any registered kernel), executed with the single-strip-per-thread
-  configuration of the paper's row-split — strips are sync-free, so their
-  calls are embarrassingly parallel and are scheduled onto the context's
-  thread budget with :func:`repro.parallel.scheduler.schedule` (and
-  optionally fanned out on the real thread pool);
+  (any registered kernel) against the strip's slice of the mask — strips
+  are sync-free, so their calls are embarrassingly parallel and are
+  scheduled onto the context's thread budget with
+  :func:`repro.parallel.scheduler.schedule`;
 * strip outputs live in **disjoint row ranges**, so the full result is a
   plain concatenation — no merge — and is **bit-identical** to the
   unsharded engine: each row's addend stream (the selected columns in the
@@ -23,31 +24,21 @@ runs every multiplication against one monolithic matrix.
   the same order.  Sorted outputs are byte-identical as stored; unsorted
   outputs are byte-identical as (row, value) pairs (storage order is
   bucket-layout-specific, exactly as across the kernel family);
+* edge updates stay in per-strip delta logs, overlaid on the strip outputs
+  by parent-side patch calls, and a strip is rebuilt alone once its delta
+  crosses the compaction break-even;
 * :meth:`ShardedEngine.multiply_many` shards fused blocks too: the
   column-union block is packed **once** and shared by every strip's fused
   kernel call, while the (row, vector-id) scatter and the segmented merge
   stay strip-local;
 * per-call algorithm choice is priced over the **shard features** of
   :func:`repro.machine.cost_model.shard_features` (shard count, static
-  per-strip nnz balance) by the same online :class:`~repro.core.engine.CostFit`
-  machinery the monolithic engine uses.
+  per-strip nnz balance).
 
-An **async front-end** (:meth:`ShardedEngine.submit` /
-:meth:`ShardedEngine.gather`) queues calls and executes them in a
-deterministic seeded order (emulating out-of-order completion) while always
-returning results in submission order; :class:`EngineGroup` extends the same
-interface across *several* matrices, pinning its members in the
-:func:`~repro.core.engine.engine_for` cache so long-lived multi-graph
-workloads (BFS/PageRank over many graphs) never have their workspaces
-silently evicted and rebuilt mid-algorithm.
-
-*Where* the per-strip calls execute is delegated to the context's pluggable
-**execution backend** (:mod:`repro.parallel.backends`): the default
-``"emulated"`` backend preserves the deterministic in-process loop, while
-``"process"`` runs the strips on a persistent ``multiprocessing`` pool whose
-workers hold the strip matrices in shared memory — same bits, real cores.
-Process-backed engines should be closed (or used as context managers) to
-release the pool promptly; a gc finalizer covers the rest.
+:class:`EngineGroup` extends the async interface across *several* matrices,
+pinning its members in the :func:`~repro.core.engine.engine_for` cache so
+long-lived multi-graph workloads (BFS/PageRank over many graphs) never have
+their workspaces silently evicted and rebuilt mid-algorithm.
 """
 
 from __future__ import annotations
@@ -55,124 +46,49 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._typing import INDEX_DTYPE, as_index_array
-from ..errors import BackendError, DimensionMismatchError
-from ..formats.coo import COOMatrix
+from .._typing import INDEX_DTYPE
 from ..formats.csc import CSCMatrix
-from ..formats.delta import DeltaLog, apply_delta, build_patch, splice_overlay
+from ..formats.delta import apply_delta, build_patch
 from ..formats.partition import RowSplit, row_split
 from ..formats.sparse_vector import SparseVector
 from ..formats.vector_block import SparseVectorBlock
-from ..machine.cost_model import block_features, cost_model_for, shard_features
-from ..parallel.backends import ExecutionBackend, make_backend
+from ..machine.cost_model import block_features, shard_features
 from ..parallel.context import ExecutionContext, default_context
 from ..parallel.metrics import ExecutionRecord, PhaseRecord, WorkMetrics
 from ..parallel.scheduler import Assignment, schedule
-from ..semiring import PLUS_TIMES, Semiring
+from ..semiring import Semiring
 from .engine import (
-    COMPACT_FRACTION,
-    DEFAULT_CANDIDATES,
-    CostFit,
-    EngineCall,
     SpMSpVEngine,
     _accepts_workspace,
-    _density_seed_choice,
-    _mask_keep_fraction,
-    _ranked_selection,
-    merge_overlay_record,
+    _overlay_result,
     pin_engine,
     unpin_engine,
 )
 from .result import SpMSpVResult
-from .vector_ops import check_mask, check_operands
+from .strip_engine import StripEngine
+from .vector_ops import check_mask
 from .workspace import SpMSpVWorkspace
 
 
-class ShardedEngine:
+class ShardedEngine(StripEngine):
     """Row-split, per-strip-scheduled SpMSpV executor for one matrix.
 
-    Parameters
-    ----------
-    matrix:
-        The matrix every multiplication of this engine uses.
-    shards:
-        Partition width P; the matrix is row-split into P strips (strips may
-        be empty when ``shards > nrows``).
-    ctx:
-        Execution context.  ``num_threads`` is the budget the strip calls
-        are scheduled onto; each strip call itself runs the paper's
-        row-split configuration (one thread per strip, sync-free).
-        ``ctx.backend`` selects the strip executor (``"emulated"`` |
-        ``"process"``); ``ctx.backend_workers`` caps the process pool.
-    algorithm:
-        Default per-call policy: a registered kernel name, or ``"auto"``
-        for adaptive selection over the shard-feature cost fits.
-    candidates, density_threshold, explore_every:
-        As in :class:`~repro.core.engine.SpMSpVEngine`.
+    Parameters as in :class:`~repro.core.strip_engine.StripEngine`; the
+    matrix is row-split into ``shards`` strips.
     """
 
-    def __init__(self, matrix: CSCMatrix, shards: int,
-                 ctx: Optional[ExecutionContext] = None, *,
-                 algorithm: str = "auto",
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 density_threshold: Optional[float] = None,
-                 explore_every: int = 8):
-        from .dispatch import AUTO_DENSITY_SWITCH  # late: avoids import cycle
+    scheme = "row"
+    _axis = 0
 
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.matrix = matrix
-        self.ctx = ctx if ctx is not None else default_context()
-        self.algorithm = algorithm
-        self.candidates = tuple(candidates)
-        if not self.candidates:
-            raise ValueError("engine needs at least one candidate algorithm")
-        self.density_threshold = (density_threshold if density_threshold is not None
-                                  else AUTO_DENSITY_SWITCH)
-        self.explore_every = int(explore_every)
-        self.split: RowSplit = row_split(matrix, int(shards))
-        #: per-strip execution context: the paper's row-split runs one strip
-        #: per thread with no intra-strip parallelism (§II-F)
-        self.shard_ctx = replace(self.ctx, num_threads=1)
-        #: pluggable strip executor (emulated in-process loop by default, or
-        #: a persistent shared-memory worker pool with ``backend="process"``)
-        self.backend: ExecutionBackend = make_backend(
-            self.ctx.backend, strips=self.split.strips,
-            shard_ctx=self.shard_ctx, dtype=matrix.dtype,
-            use_thread_pool=self.ctx.use_thread_pool,
-            workers=self.ctx.backend_workers)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         #: the emulated backend's local per-strip workspaces; empty for
         #: backends whose workspaces live out-of-process
         self.workspaces = getattr(self.backend, "workspaces", [])
-        strip_nnz = np.array([strip.nnz for strip in self.split.strips], dtype=np.float64)
-        mean_nnz = float(strip_nnz.mean()) if len(strip_nnz) else 0.0
-        #: static max/mean stored-entry balance of the row partition
-        self.nnz_balance = float(strip_nnz.max() / mean_nnz) if mean_nnz > 0 else 1.0
-        self.history: List[EngineCall] = []
-        self.max_history = 4096
-        self.total_calls = 0
-        self.total_cost_ms = 0.0
-        self.total_explored = 0
-        self._models: Dict[str, CostFit] = {
-            name: CostFit(dim=4) for name in self.candidates}
-        self._block_fits: Dict[str, CostFit] = {
-            mode: CostFit(dim=7) for mode in ("fused", "looped")}
-        self._price = cost_model_for(self.ctx.platform)
-        self._modeled_calls = 0
-        self._modeled_blocks = 0
-        self._batches = 0
-        self._fused_batches = 0
-        #: per-strip pending edge updates, routed by the row partition; each
-        #: strip compacts independently once its delta crosses break-even
-        self.deltas: List[DeltaLog] = [
-            DeltaLog(strip.shape) for strip in self.split.strips]
-        self.compact_fraction = COMPACT_FRACTION
-        self.compactions = 0
         self._patches: List[Optional[Tuple[CSCMatrix, np.ndarray]]] = \
             [None] * self.split.num_parts
         #: parent-side workspaces for the (tiny) strip patch corrections —
@@ -180,42 +96,17 @@ class ShardedEngine:
         self._patch_ws: Dict[int, SpMSpVWorkspace] = {}
         self._strip_row_nnz: List[Optional[np.ndarray]] = \
             [None] * self.split.num_parts
-        #: queued async calls: (ticket, vector, kwargs), drained by gather()
-        self._pending: List[Tuple[int, SparseVector, Dict]] = []
-        self._ticket = 0
-        #: tickets in the order gather() actually executed them (async tests)
-        self.execution_log: List[int] = []
-        # bookkeeping is reentrant (multiply_many loops over multiply)
-        self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------ #
-    # adaptive selection over shard features
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        return self.split.num_parts
+    def _cut(self, matrix: CSCMatrix, shards: int) -> Tuple[RowSplit, List[CSCMatrix]]:
+        split = row_split(matrix, shards)
+        return split, split.strips
 
     def call_features(self, x: SparseVector) -> np.ndarray:
         """The (bias, nnz(x), P, balance) features of one sharded call."""
         return shard_features(x.nnz, self.num_shards, self.nnz_balance)
 
-    def select_algorithm(self, x: SparseVector) -> Tuple[str, bool]:
-        """Pick the kernel for one input vector; returns ``(name, explored)``.
-
-        Same policy as the monolithic engine (shared helpers): the §V
-        density seed hands over to the shard-feature fits once trained.
-        """
-        phi = self.call_features(x)
-        choice = _ranked_selection(self._models, phi, self.explore_every,
-                                   self._modeled_calls + 1)
-        if choice is not None:
-            self._modeled_calls += 1
-            return choice
-        return _density_seed_choice(self.candidates, x.nnz / max(x.n, 1),
-                                    self.density_threshold), False
-
     # ------------------------------------------------------------------ #
-    # shard plumbing
+    # strip calls: mask slices out, concatenation back
     # ------------------------------------------------------------------ #
     def _slice_mask(self, mask: Optional[SparseVector]
                     ) -> List[Optional[SparseVector]]:
@@ -233,6 +124,22 @@ class ShardedEngine:
                                     mask.values[keep], sorted=mask.sorted,
                                     check=False))
         return out
+
+    def _slice_call(self, plan: Dict) -> None:
+        x, sorted_output = plan["x"], plan["sorted_output"]
+        plan["resolved_sorted"] = (sorted_output if sorted_output is not None
+                                   else (x.sorted and self.ctx.sorted_vectors))
+        plan["mask_slices"] = self._slice_mask(plan["mask"])
+
+    def _submit(self, plan: Dict):
+        return self.backend.submit_multiply(
+            plan["name"], plan["x"], semiring=plan["semiring"],
+            sorted_output=plan["resolved_sorted"],
+            mask_slices=plan["mask_slices"],
+            mask_complement=plan["mask_complement"], kwargs=plan["kwargs"])
+
+    def _collect(self, token) -> List[SpMSpVResult]:
+        return self.backend.gather_multiply(token)
 
     def _concatenate(self, vectors: List[SparseVector], sorted_flag: bool
                      ) -> SparseVector:
@@ -294,65 +201,56 @@ class ShardedEngine:
             merged.add_phase(out)
         return merged
 
-    def _run_strip_calls(self, name: str, x: SparseVector, *, semiring: Semiring,
-                         sorted_output: Optional[bool],
-                         mask_slices: List[Optional[SparseVector]],
-                         mask_complement: bool, kwargs: Dict
-                         ) -> List[SpMSpVResult]:
-        """One independent kernel call per strip, on the engine's backend."""
-        return self.backend.run_multiply(
-            name, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs)
+    def _combine(self, plan: Dict, outs: List[SpMSpVResult]) -> SpMSpVResult:
+        """Overlay pending deltas, concatenate the strips, merge their records."""
+        x, resolved_sorted = plan["x"], plan["resolved_sorted"]
+        if any(not d.is_empty for d in self.deltas):
+            from .dispatch import get_algorithm  # late: avoids import cycle
+
+            fn = get_algorithm(plan["name"])
+
+            def run_patch(s: int, patch: CSCMatrix) -> List[SpMSpVResult]:
+                kw = dict(plan["kwargs"])
+                if _accepts_workspace(fn):
+                    kw["workspace"] = self._patch_workspace_locked(s)
+                return [fn(patch, x, self.shard_ctx, semiring=plan["semiring"],
+                           sorted_output=resolved_sorted,
+                           mask=plan["mask_slices"][s],
+                           mask_complement=plan["mask_complement"], **kw)]
+
+            outs = [rs[0] for rs in self._overlay_locked([[o] for o in outs],
+                                                         run_patch)]
+        y = self._concatenate([o.vector for o in outs], resolved_sorted)
+        dfs = [float(o.info.get("df", o.record.info.get("df", 0.0))) for o in outs]
+        assignment = self._schedule_shards([df + 1.0 for df in dfs])
+        record = self._merge_records(
+            [o.record for o in outs], assignment,
+            algorithm=f"sharded[{self.num_shards}]:{outs[0].record.algorithm}",
+            info={"m": self.matrix.nrows, "n": self.matrix.ncols,
+                  "nnz_A": self.matrix.nnz, "f": x.nnz,
+                  "df": sum(dfs), "nnz_y": y.nnz,
+                  "shards": self.num_shards,
+                  "shard_imbalance": assignment.imbalance(),
+                  "early_mask": outs[0].record.info.get("early_mask", False)})
+        return SpMSpVResult(vector=y, record=record,
+                            info={"f": x.nnz, "df": sum(dfs),
+                                  "nnz_y": y.nnz, "shards": self.num_shards})
 
     # ------------------------------------------------------------------ #
     # dynamic updates (per-strip delta overlay + compaction)
     # ------------------------------------------------------------------ #
-    def apply_updates(self, rows, cols, values=None) -> Dict[str, object]:
-        """Record edge updates, routed to the owning strips' delta logs.
-
-        ``values=None`` deletes the listed edges.  Updates are visible on the
-        next multiply: the workers keep serving the immutable base strips
-        while the parent splices in tiny strip-local patch corrections.  A
-        strip whose delta-touched rows cross ``compact_fraction`` of its
-        nonzeros is rebuilt **alone** — the other strips' workspaces and
-        shared-memory slabs stay untouched.  Raises :class:`BackendError`
-        while async calls are queued (``submit`` without ``gather``): a
-        queued call must run against the matrix it was submitted to.
-        """
-        with self._lock:
-            if self._pending:
-                raise BackendError(
-                    f"apply_updates with {len(self._pending)} async call(s) "
-                    "queued; gather() them first")
-            rows = as_index_array(rows)
-            cols = as_index_array(cols)
-            m, n = self.matrix.shape
-            if len(rows) and (rows.min() < 0 or rows.max() >= m):
-                raise DimensionMismatchError(f"update row out of range for {m} rows")
-            if len(cols) and (cols.min() < 0 or cols.max() >= n):
-                raise DimensionMismatchError(f"update col out of range for {n} cols")
-            if values is not None:
-                values = np.asarray(values, dtype=np.float64)
-                if values.ndim == 0:
-                    values = np.broadcast_to(values, rows.shape).copy()
-            lows = np.array([lo for lo, _hi in self.split.row_ranges])
-            strip_of = np.searchsorted(lows, rows, side="right") - 1
-            compacted: List[int] = []
-            for s in np.unique(strip_of).tolist():
-                sel = strip_of == s
-                lo = self.split.row_ranges[s][0]
-                if values is None:
-                    self.deltas[s].delete_edges(rows[sel] - lo, cols[sel])
-                else:
-                    self.deltas[s].set_edges(rows[sel] - lo, cols[sel], values[sel])
-                self._patches[s] = None
-                if self._maybe_compact_strip_locked(s):
-                    compacted.append(s)
-            return {"applied": int(len(rows)),
-                    "delta_entries": sum(d.entries for d in self.deltas),
-                    "compacted": bool(compacted),
-                    "compacted_strips": compacted}
+    def _updated_strip_locked(self, s: int) -> bool:
+        """Strip ``s`` got updates: the workers keep serving the immutable
+        base strip while the parent splices in a strip-local patch
+        correction, until the delta-touched rows carry more than
+        ``compact_fraction`` of the strip's nonzeros — then the strip is
+        rebuilt **alone** (the other strips' workspaces and shared-memory
+        slabs stay untouched)."""
+        self._patches[s] = None
+        if self._overlay_nnz_strip_locked(s) <= \
+                self.compact_fraction * max(self.split.strips[s].nnz, 1):
+            return False
+        return self._compact_strip_locked(s)
 
     def _overlay_nnz_strip_locked(self, s: int) -> int:
         """Upper bound on strip ``s``'s patch nnz (the per-multiply overlay tax)."""
@@ -361,63 +259,12 @@ class ShardedEngine:
         return (int(self._strip_row_nnz[s][self.deltas[s].touched_rows()].sum())
                 + self.deltas[s].entries)
 
-    def _maybe_compact_strip_locked(self, s: int) -> bool:
-        if self.deltas[s].is_empty:
-            return False
-        threshold = self.compact_fraction * max(self.split.strips[s].nnz, 1)
-        if self._overlay_nnz_strip_locked(s) <= threshold:
-            return False
-        return self._compact_strip_locked(s)
-
-    def _compact_strip_locked(self, s: int) -> bool:
-        if self.deltas[s].is_empty:
-            return False
+    def _rebuild_strip(self, s: int) -> CSCMatrix:
         new_strip = apply_delta(self.split.strips[s], self.deltas[s])
-        self.split.strips[s] = new_strip
         self.backend.update_strip(s, new_strip)
-        self.deltas[s] = DeltaLog(new_strip.shape)
         self._patches[s] = None
         self._strip_row_nnz[s] = None
-        self.compactions += 1
-        return True
-
-    def compact(self, strip: Optional[int] = None) -> bool:
-        """Fold pending deltas into their base strips now; True if any ran."""
-        with self._lock:
-            if self._pending:
-                raise BackendError("compact with async calls queued; gather() first")
-            if strip is not None:
-                return self._compact_strip_locked(strip)
-            return any([self._compact_strip_locked(s)
-                        for s in range(self.num_shards)])
-
-    def effective_matrix(self) -> CSCMatrix:
-        """The full-row-space matrix this engine currently computes with."""
-        with self._lock:
-            rows_parts, cols_parts, vals_parts = [], [], []
-            for (lo, _hi), strip, delta in zip(self.split.row_ranges,
-                                               self.split.strips, self.deltas):
-                eff = strip if delta.is_empty else apply_delta(strip, delta)
-                coo = eff.to_coo()
-                rows_parts.append(coo.rows + lo)
-                cols_parts.append(coo.cols)
-                vals_parts.append(coo.vals)
-            return CSCMatrix.from_coo(
-                COOMatrix(self.matrix.shape,
-                          np.concatenate(rows_parts) if rows_parts else [],
-                          np.concatenate(cols_parts) if cols_parts else [],
-                          np.concatenate(vals_parts) if vals_parts else [],
-                          check=False),
-                sum_duplicates=False)
-
-    def delta_stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "events": sum(len(d) for d in self.deltas),
-                "entries": sum(d.entries for d in self.deltas),
-                "per_strip_entries": [d.entries for d in self.deltas],
-                "compactions": self.compactions,
-            }
+        return new_strip
 
     def _patch_pair_strip_locked(self, s: int
                                  ) -> Optional[Tuple[CSCMatrix, np.ndarray]]:
@@ -435,268 +282,50 @@ class ShardedEngine:
             self._patch_ws[s] = ws
         return ws
 
-    def _overlay_strip_outs_locked(self, outs: List[SpMSpVResult], name: str, x,
-                                   *, semiring: Semiring,
-                                   sorted_output: Optional[bool],
-                                   mask_slices: List[Optional[SparseVector]],
-                                   mask_complement: bool,
-                                   kwargs: Dict) -> List[SpMSpVResult]:
-        """Splice parent-side patch corrections into the strips' base outputs."""
-        from .dispatch import get_algorithm  # late: avoids import cycle
+    def _overlay_locked(self, per_strip: List[List[SpMSpVResult]], run_patch
+                        ) -> List[List[SpMSpVResult]]:
+        """Splice parent-side patch corrections into the strips' base results.
 
-        outs = list(outs)
+        ``per_strip[s]`` holds strip ``s``'s base results; ``run_patch(s,
+        patch)`` reruns the same call on the strip's delta patch.
+        """
+        per_strip = list(per_strip)
         for s in range(self.num_shards):
             pair = self._patch_pair_strip_locked(s)
             if pair is None:
                 continue
             patch, touched = pair
-            fn = get_algorithm(name)
-            kw = dict(kwargs)
-            if _accepts_workspace(fn):
-                kw["workspace"] = self._patch_workspace_locked(s)
-            pres = fn(patch, x, self.shard_ctx, semiring=semiring,
-                      sorted_output=sorted_output, mask=mask_slices[s],
-                      mask_complement=mask_complement, **kw)
-            outs[s] = SpMSpVResult(
-                vector=splice_overlay(outs[s].vector, pres.vector, touched),
-                record=merge_overlay_record(outs[s].record, pres.record),
-                info=dict(outs[s].info, delta_patch_nnz=patch.nnz))
-        return outs
+            per_strip[s] = [_overlay_result(r, p, patch, touched)
+                            for r, p in zip(per_strip[s], run_patch(s, patch))]
+        return per_strip
 
     # ------------------------------------------------------------------ #
-    # execution
+    # fused blocks: one shared pack, P fused strip calls
     # ------------------------------------------------------------------ #
-    def multiply(self, x: SparseVector, *,
-                 semiring: Semiring = PLUS_TIMES,
-                 sorted_output: Optional[bool] = None,
-                 mask: Optional[SparseVector] = None,
-                 mask_complement: bool = False,
-                 algorithm: Optional[str] = None,
-                 _batch: Optional[int] = None,
-                 _explored: bool = False,
-                 **kwargs) -> SpMSpVResult:
-        """Run ``y <- A x`` as P independent strip multiplications.
+    def _block_phi(self, k: int, total_nnz: int, union_nnz: int,
+                   mask_keep: float) -> np.ndarray:
+        """The block feature vector, counting every strip's merge segments."""
+        return block_features(
+            k, total_nnz, union_nnz, mask_keep=mask_keep,
+            segments=k * self.shard_ctx.num_buckets * self.num_shards)
 
-        Bit-identical to the unsharded engine (sorted outputs byte-for-byte,
-        unsorted outputs pair-for-pair); the combined record models the
-        strip schedule's makespan on the context's threads.
+    def _multiply_fused(self, xs: List[SparseVector], phi: np.ndarray, *,
+                        batch: int, semiring: Semiring,
+                        sorted_output: Optional[bool],
+                        masks: Optional[Sequence[Optional[SparseVector]]],
+                        mask_complement: bool, requested: str, explored: bool,
+                        block_merge: str, block: Optional[SparseVectorBlock]
+                        ) -> List[SpMSpVResult]:
+        """Fused block execution across strips: one shared block, P fused calls.
+
+        The block's column union, value slab and replay positions are
+        row-independent, so the pack is built **once** and handed to every
+        strip's fused kernel call; only the (row, vector-id) scatter and the
+        segmented merge are paid per strip.  Per-vector masks are sliced per
+        strip and folded into each strip's scatter.
         """
-        with self._lock:
-            plan = self._plan_call(
-                x, semiring=semiring, sorted_output=sorted_output, mask=mask,
-                mask_complement=mask_complement, algorithm=algorithm,
-                _batch=_batch, _explored=_explored, **kwargs)
-            outs = self._run_strip_calls(
-                plan["name"], x, semiring=semiring,
-                sorted_output=plan["resolved_sorted"],
-                mask_slices=plan["mask_slices"],
-                mask_complement=mask_complement, kwargs=kwargs)
-            return self._finish_call(plan, outs)
+        from .spmspv_block import spmspv_bucket_block  # late: import cycle
 
-    def _plan_call(self, x: SparseVector, *,
-                   semiring: Semiring = PLUS_TIMES,
-                   sorted_output: Optional[bool] = None,
-                   mask: Optional[SparseVector] = None,
-                   mask_complement: bool = False,
-                   algorithm: Optional[str] = None,
-                   _batch: Optional[int] = None,
-                   _explored: bool = False, **kwargs) -> Dict:
-        """Validate + select + resolve one call, without executing it.
-
-        This is the submit half of a multiplication: everything that must
-        happen *before* the strip calls go out (operand/mask checks,
-        adaptive kernel selection against the current fits, sorted-output
-        resolution, mask slicing) — so the pipelined :meth:`gather` can
-        broadcast a call to the backend and plan the next one while workers
-        are still running.  The bookkeeping half is :meth:`_finish_call`.
-        """
-        from .dispatch import get_algorithm  # late: avoids import cycle
-
-        check_operands(self.matrix, x)
-        check_mask(mask, self.matrix.nrows)
-        requested = algorithm if algorithm is not None else self.algorithm
-        explored = _explored
-        if requested == "auto":
-            name, explored = self.select_algorithm(x)
-        else:
-            name = requested
-        get_algorithm(name)  # validate the kernel name before dispatching
-        resolved_sorted = (sorted_output if sorted_output is not None
-                           else (x.sorted and self.ctx.sorted_vectors))
-        return {"x": x, "name": name, "requested": requested,
-                "explored": explored, "resolved_sorted": resolved_sorted,
-                "semiring": semiring, "mask_slices": self._slice_mask(mask),
-                "mask_complement": mask_complement, "kwargs": kwargs,
-                "batch": _batch, "t0": time.perf_counter()}
-
-    def _finish_call(self, plan: Dict, outs: List[SpMSpVResult]) -> SpMSpVResult:
-        """Fold strip results into one result + all per-call bookkeeping.
-
-        Runs in gather order (= the deterministic execution order), so the
-        history, cost observations and adaptive-fit updates are identical
-        across backends regardless of how the strip calls overlapped.
-        """
-        x = plan["x"]
-        name = plan["name"]
-        resolved_sorted = plan["resolved_sorted"]
-        if any(not d.is_empty for d in self.deltas):
-            outs = self._overlay_strip_outs_locked(
-                outs, name, x, semiring=plan["semiring"],
-                sorted_output=resolved_sorted,
-                mask_slices=plan["mask_slices"],
-                mask_complement=plan["mask_complement"],
-                kwargs=plan["kwargs"])
-        y = self._concatenate([o.vector for o in outs], resolved_sorted)
-        dfs = [float(o.info.get("df", o.record.info.get("df", 0.0))) for o in outs]
-        assignment = self._schedule_shards([df + 1.0 for df in dfs])
-        record = self._merge_records(
-            [o.record for o in outs], assignment,
-            algorithm=f"sharded[{self.num_shards}]:{outs[0].record.algorithm}",
-            info={"m": self.matrix.nrows, "n": self.matrix.ncols,
-                  "nnz_A": self.matrix.nnz, "f": x.nnz,
-                  "df": sum(dfs), "nnz_y": y.nnz,
-                  "shards": self.num_shards,
-                  "shard_imbalance": assignment.imbalance(),
-                  "early_mask": outs[0].record.info.get("early_mask", False)})
-        record.wall_time_s = time.perf_counter() - plan["t0"]
-
-        cost_ms = self._price.record_time_ms(record)
-        if name in self._models:
-            self._models[name].observe(self.call_features(x), cost_ms)
-        self.history.append(EngineCall(
-            index=self.total_calls, algorithm=name, requested=plan["requested"],
-            f=x.nnz, density=x.nnz / max(x.n, 1), cost_ms=cost_ms,
-            explored=plan["explored"], batch=plan["batch"]))
-        self.total_calls += 1
-        self.total_cost_ms += cost_ms
-        self.total_explored += int(plan["explored"])
-        if len(self.history) > 2 * self.max_history:
-            del self.history[:len(self.history) - self.max_history]
-        return SpMSpVResult(vector=y, record=record,
-                            info={"f": x.nnz, "df": sum(dfs),
-                                  "nnz_y": y.nnz, "shards": self.num_shards})
-
-    # ------------------------------------------------------------------ #
-    # blocked execution
-    # ------------------------------------------------------------------ #
-    def _select_block_mode(self, phi: np.ndarray, k: int, sharing: float
-                           ) -> Tuple[str, bool]:
-        """Fused-vs-looped for one block (same policy as the monolithic engine)."""
-        choice = _ranked_selection(self._block_fits, phi, self.explore_every,
-                                   self._modeled_blocks + 1)
-        if choice is not None:
-            self._modeled_blocks += 1
-            return choice
-        if k >= 4 or sharing >= 1.5:
-            return "fused", False
-        return "looped", False
-
-    def multiply_block(self, block: SparseVectorBlock, *,
-                       semiring: Semiring = PLUS_TIMES,
-                       sorted_output: Optional[bool] = None,
-                       masks: Optional[Sequence[Optional[SparseVector]]] = None,
-                       mask_complement: bool = False,
-                       algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
-        """Sharded execution of an already-packed block (serving entry point).
-
-        Mirrors :meth:`SpMSpVEngine.multiply_block`: the caller's pack is
-        reused by the fused path (one shared block for every strip) instead
-        of being re-derived; results are bit-identical to
-        :meth:`multiply_many` over ``block.to_vectors()``.
-        """
-        return self.multiply_many(
-            block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
-            masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge, _block=block)
-
-    def multiply_many(self, xs: Sequence[SparseVector], *,
-                      semiring: Semiring = PLUS_TIMES,
-                      sorted_output: Optional[bool] = None,
-                      masks: Optional[Sequence[Optional[SparseVector]]] = None,
-                      mask_complement: bool = False,
-                      algorithm: Optional[str] = None,
-                      block_mode: str = "auto",
-                      block_merge: str = "segmented",
-                      _block: Optional[SparseVectorBlock] = None,
-                      **kwargs) -> List[SpMSpVResult]:
-        """Sharded blocked execution of one matrix against many input vectors.
-
-        The fused path packs the :class:`SparseVectorBlock` **once** — its
-        column union, value slab and replay positions are row-independent —
-        and hands the same block to every strip's fused kernel call, so only
-        the (row, vector-id) scatter and the segmented merge are paid per
-        strip.  Per-vector masks are sliced per strip and folded into each
-        strip's scatter.  Outputs are bit-identical to the unsharded
-        ``multiply_many`` in every mode.
-        """
-        if block_mode not in ("auto", "fused", "looped"):
-            raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
-        xs = list(xs)
-        if masks is not None and len(masks) != len(xs):
-            raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
-        with self._lock:
-            batch = self._batches
-            self._batches += 1
-            requested = algorithm if algorithm is not None else self.algorithm
-            explored = False
-            if requested == "auto" and xs:
-                densest = max(xs, key=lambda x: x.nnz)
-                requested, explored = self.select_algorithm(densest)
-
-            eligible = (requested == "bucket" and len(xs) >= 2 and not kwargs
-                        and len({x.dtype for x in xs}) == 1)
-            mode = "looped"
-            block_explored = False
-            phi: Optional[np.ndarray] = None
-            if eligible:
-                total_nnz, union_nnz = SpMSpVEngine._block_stats(xs)
-                phi = block_features(
-                    len(xs), total_nnz, union_nnz,
-                    mask_keep=_mask_keep_fraction(masks, mask_complement,
-                                                  len(xs), self.matrix.nrows),
-                    segments=len(xs) * self.shard_ctx.num_buckets * self.num_shards)
-                if block_mode == "auto":
-                    mode, block_explored = self._select_block_mode(
-                        phi, len(xs), total_nnz / max(union_nnz, 1))
-                else:
-                    mode = block_mode
-
-            if mode == "fused":
-                return self._multiply_many_fused(
-                    xs, phi, batch=batch, semiring=semiring,
-                    sorted_output=sorted_output, masks=masks,
-                    mask_complement=mask_complement, requested=requested,
-                    explored=explored or block_explored,
-                    block_merge=block_merge, block=_block)
-
-            t0 = time.perf_counter()
-            results = []
-            for i, x in enumerate(xs):
-                results.append(self.multiply(
-                    x, semiring=semiring, sorted_output=sorted_output,
-                    mask=masks[i] if masks is not None else None,
-                    mask_complement=mask_complement, algorithm=requested,
-                    _batch=batch, _explored=explored and i == 0, **kwargs))
-            if eligible:
-                self._block_fits["looped"].observe(
-                    phi, (time.perf_counter() - t0) * 1e3)
-            return results
-
-    def _multiply_many_fused(self, xs: List[SparseVector],
-                             phi: Optional[np.ndarray], *, batch: int,
-                             semiring: Semiring, sorted_output: Optional[bool],
-                             masks: Optional[Sequence[Optional[SparseVector]]],
-                             mask_complement: bool, requested: str,
-                             explored: bool,
-                             block_merge: str,
-                             block: Optional[SparseVectorBlock] = None
-                             ) -> List[SpMSpVResult]:
-        """Fused block execution across strips: one shared block, P fused calls."""
         if masks is not None:
             for mask in masks:
                 check_mask(mask, self.matrix.nrows)
@@ -704,12 +333,6 @@ class ShardedEngine:
         k = len(xs)
         if block is None:
             block = SparseVectorBlock.from_vectors(xs)
-        if phi is None:
-            phi = block_features(
-                k, block.total_nnz, block.union_nnz,
-                mask_keep=_mask_keep_fraction(masks, mask_complement, k,
-                                              self.matrix.nrows),
-                segments=k * self.shard_ctx.num_buckets * self.num_shards)
         if masks is not None:
             sliced = [self._slice_mask(mask) for mask in masks]  # [vector][strip]
             strip_masks = [[sliced[i][s] for i in range(k)]
@@ -722,25 +345,12 @@ class ShardedEngine:
             strip_masks=strip_masks, mask_complement=mask_complement,
             block_merge=block_merge)
         if any(not d.is_empty for d in self.deltas):
-            from .spmspv_block import spmspv_bucket_block  # late: import cycle
-
-            per_strip = [list(rs) for rs in per_strip]
-            for s in range(self.num_shards):
-                pair = self._patch_pair_strip_locked(s)
-                if pair is None:
-                    continue
-                patch, touched = pair
-                presults = spmspv_bucket_block(
+            per_strip = self._overlay_locked(
+                per_strip, lambda s, patch: spmspv_bucket_block(
                     patch, block, self.shard_ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=strip_masks[s],
                     mask_complement=mask_complement, merge=block_merge,
-                    workspace=self._patch_workspace_locked(s))
-                per_strip[s] = [
-                    SpMSpVResult(
-                        vector=splice_overlay(r.vector, p.vector, touched),
-                        record=merge_overlay_record(r.record, p.record),
-                        info=dict(r.info, delta_patch_nnz=patch.nnz))
-                    for r, p in zip(per_strip[s], presults)]
+                    workspace=self._patch_workspace_locked(s)))
         # equal per-vector share of the batch wall time, frozen before the
         # bookkeeping below (as the fused kernel itself apportions)
         wall_share_s = (time.perf_counter() - t0) / max(k, 1)
@@ -749,9 +359,8 @@ class ShardedEngine:
         strip_dfs = [sum(float(r.info.get("df", 0.0)) for r in rs)
                      for rs in per_strip]
         assignment = self._schedule_shards([df + 1.0 for df in strip_dfs])
-        nnzs = block.nnz_per_vector()
         results: List[SpMSpVResult] = []
-        for i in range(k):
+        for i, x in enumerate(xs):
             outs = [per_strip[s][i] for s in range(self.num_shards)]
             resolved_sorted = (sorted_output if sorted_output is not None
                                else (block.sorted_flags[i]
@@ -762,193 +371,22 @@ class ShardedEngine:
                 [o.record for o in outs], assignment,
                 algorithm=f"sharded[{self.num_shards}]:{outs[0].record.algorithm}",
                 info={"m": self.matrix.nrows, "n": self.matrix.ncols,
-                      "nnz_A": self.matrix.nnz, "f": int(nnzs[i]),
+                      "nnz_A": self.matrix.nnz, "f": x.nnz,
                       "df": df_i, "nnz_y": y.nnz, "fused": True,
                       "block_k": k, "merge": block_merge,
                       "shards": self.num_shards})
             record.wall_time_s = wall_share_s
-            cost_ms = self._price.record_time_ms(record)
-            self.history.append(EngineCall(
-                index=self.total_calls, algorithm="bucket_block",
-                requested=requested, f=int(nnzs[i]),
-                density=int(nnzs[i]) / max(block.n, 1), cost_ms=cost_ms,
-                explored=explored and i == 0, batch=batch, fused=True))
-            self.total_calls += 1
-            self.total_cost_ms += cost_ms
+            self._record_call("bucket_block", requested, x,
+                              self._price.record_time_ms(record),
+                              explored and i == 0, batch, fused=True)
             results.append(SpMSpVResult(
                 vector=y, record=record,
-                info={"f": int(nnzs[i]), "df": df_i, "nnz_y": y.nnz,
+                info={"f": x.nnz, "df": df_i, "nnz_y": y.nnz,
                       "fused": True, "merge": block_merge,
                       "shards": self.num_shards}))
         self._fused_batches += 1
         self._block_fits["fused"].observe(phi, (time.perf_counter() - t0) * 1e3)
-        self.total_explored += int(explored)
-        if len(self.history) > 2 * self.max_history:
-            del self.history[:len(self.history) - self.max_history]
         return results
-
-    # ------------------------------------------------------------------ #
-    # async front-end
-    # ------------------------------------------------------------------ #
-    def submit(self, x: SparseVector, **kwargs) -> int:
-        """Queue one multiplication; returns its ticket.
-
-        Nothing executes until :meth:`gather` — including validation, so a
-        bad call (wrong vector length, wrong mask dimension) raises from the
-        failing strip at gather time, exactly like a remote shard would fail
-        its batch.
-        """
-        with self._lock:
-            ticket = self._ticket
-            self._ticket += 1
-            self._pending.append((ticket, x, kwargs))
-            return ticket
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (not yet gathered) calls."""
-        return len(self._pending)
-
-    def gather(self) -> List[SpMSpVResult]:
-        """Execute every queued call and return their results in submit order.
-
-        Execution order is a deterministic function of the context's seed
-        (a seeded permutation, emulating out-of-order async completion);
-        results are independent of it because queued calls are independent.
-        The executed tickets are appended to :attr:`execution_log`.  The
-        queue is cleared even when a strip call raises — the exception
-        propagates to the caller and later submissions start fresh.
-
-        Execution is **pipelined**: up to ``ctx.backend_inflight`` calls are
-        submitted to the backend before the oldest is drained, so on the
-        process backend consecutive multiplies overlap across the worker
-        pool instead of barriering per call.  All per-call bookkeeping
-        (history, cost observations, adaptive-fit updates) happens at drain
-        time in execution order, so the pipeline depth never changes what
-        any backend records — and the emulated backend, whose submissions
-        are deferred thunks, remains bit-identical.
-        """
-        with self._lock:
-            pending, self._pending = self._pending, []
-            if not pending:
-                return []
-            rng = np.random.default_rng(self.ctx.seed + len(pending))
-            order = rng.permutation(len(pending))
-            window = max(1, self.ctx.backend_inflight)
-            #: (ticket, plan, token) in execution order, oldest first
-            inflight: List[Tuple[int, Dict, object]] = []
-            results: Dict[int, SpMSpVResult] = {}
-
-            def drain_one() -> None:
-                ticket, plan, token = inflight.pop(0)
-                results[ticket] = self._finish_call(
-                    plan, self.backend.gather_multiply(token))
-
-            try:
-                for pos in order.tolist():
-                    ticket, x, kwargs = pending[pos]
-                    self.execution_log.append(ticket)
-                    plan = self._plan_call(x, **kwargs)
-                    token = self.backend.submit_multiply(
-                        plan["name"], x, semiring=plan["semiring"],
-                        sorted_output=plan["resolved_sorted"],
-                        mask_slices=plan["mask_slices"],
-                        mask_complement=plan["mask_complement"],
-                        kwargs=plan["kwargs"])
-                    inflight.append((ticket, plan, token))
-                    if len(inflight) >= window:
-                        drain_one()
-                while inflight:
-                    drain_one()
-            except BaseException:
-                # a failed plan or strip call abandons whatever is in flight;
-                # the queue was already cleared, so later submissions restart
-                for _ticket, _plan, token in inflight:
-                    self.backend.abandon(token)
-                raise
-            return [results[ticket] for ticket, _x, _kw in pending]
-
-    # ------------------------------------------------------------------ #
-    # introspection (consumed by repro.analysis.reporting and detach())
-    # ------------------------------------------------------------------ #
-    def algorithms_used(self) -> List[str]:
-        """Distinct kernels executed, in first-use order."""
-        seen: "OrderedDict[str, None]" = OrderedDict()
-        for call in self.history:
-            seen.setdefault(call.algorithm, None)
-        return list(seen)
-
-    @property
-    def switch_count(self) -> int:
-        """How many times consecutive calls used different algorithms."""
-        return sum(1 for a, b in zip(self.history, self.history[1:])
-                   if a.algorithm != b.algorithm)
-
-    def close(self) -> None:
-        """Release backend resources (worker pool, shared memory; idempotent).
-
-        A no-op for the emulated backend.  Engines are also cleaned up by a
-        gc finalizer, so forgetting to close leaks nothing past collection —
-        but long-lived processes that churn through process-backed engines
-        should close (or ``with``) them promptly.
-        """
-        self.backend.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def workspace_stats(self) -> Dict[str, float]:
-        """Aggregate reuse statistics over the per-strip workspaces.
-
-        For out-of-process backends these are the latest stats the workers
-        piggybacked on their replies (fresh-workspace values before any
-        call)."""
-        stats = self.backend.workspace_stats()
-        acq = sum(s["acquisitions"] for s in stats)
-        alloc = sum(s["allocations"] for s in stats)
-        saved = max(acq - alloc, 0)
-        return {
-            "acquisitions": acq,
-            "allocations": alloc,
-            "allocations_saved": saved,
-            "reuse_fraction": saved / acq if acq else 0.0,
-            "bucket_capacity": sum(s["bucket_capacity"] for s in stats),
-            "spa_rows": self.matrix.nrows,
-            "block_capacity": sum(s["block_capacity"] for s in stats),
-        }
-
-    def health_stats(self) -> Dict[str, object]:
-        """Backend resilience accounting (deaths, retries, fallbacks,
-        deadline hits) — all zero for in-process backends and for a healthy
-        pool; see :meth:`.parallel.backends.ExecutionBackend.health_stats`."""
-        return self.backend.health_stats()
-
-    def summary(self) -> Dict[str, object]:
-        """Aggregate statistics of the engine's lifetime (for reporting)."""
-        return {
-            "calls": self.total_calls,
-            "batches": self._batches,
-            "fused_batches": self._fused_batches,
-            "algorithms_used": self.algorithms_used(),
-            "switches": self.switch_count,
-            "explored_calls": self.total_explored,
-            "total_cost_ms": self.total_cost_ms,
-            "shards": self.num_shards,
-            "nnz_balance": self.nnz_balance,
-            "workspace": self.workspace_stats(),
-            "comm": self.backend.comm_stats(),
-            "health": self.backend.health_stats(),
-            "delta_entries": sum(d.entries for d in self.deltas),
-            "compactions": self.compactions,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ShardedEngine(matrix={self.matrix.nrows}x{self.matrix.ncols}, "
-                f"shards={self.num_shards}, algorithm={self.algorithm!r}, "
-                f"calls={self.total_calls})")
 
 
 class EngineGroup:

@@ -46,10 +46,42 @@ from .sparse_vector import SparseVector
 
 __all__ = [
     "DeltaLog",
+    "check_updates",
     "build_patch",
     "apply_delta",
     "splice_overlay",
 ]
+
+
+def check_updates(shape, rows, cols, values=None
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one batch of edge updates against a matrix ``shape``.
+
+    Returns ``(rows, cols, values)`` as index arrays and a float64 value
+    array: a scalar ``values`` is broadcast to every edge, and ``None``
+    (a batch of deletions) becomes zeros.  Raises :class:`FormatError` for
+    arrays of unequal length and :class:`DimensionMismatchError` for
+    out-of-range coordinates.  Every engine's ``apply_updates`` validates
+    through here, so all of them reject a bad batch the same way.
+    """
+    rows = as_index_array(rows)
+    cols = as_index_array(cols)
+    if len(rows) != len(cols):
+        raise FormatError(
+            f"update arrays must have equal length, got {len(rows)} and {len(cols)}")
+    m, n = shape
+    if len(rows) and (rows.min() < 0 or rows.max() >= m):
+        raise DimensionMismatchError(f"update row out of range for {m} rows")
+    if len(cols) and (cols.min() < 0 or cols.max() >= n):
+        raise DimensionMismatchError(f"update col out of range for {n} cols")
+    if values is None:
+        return rows, cols, np.zeros(len(rows))
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0:
+        values = np.broadcast_to(values, rows.shape).copy()
+    if values.shape != rows.shape:
+        raise FormatError("values must match update index arrays")
+    return rows, cols, values
 
 
 class DeltaLog:
@@ -79,19 +111,7 @@ class DeltaLog:
     # building
     # ------------------------------------------------------------------ #
     def _append(self, rows, cols, vals, deleted: bool) -> int:
-        rows = as_index_array(rows)
-        cols = as_index_array(cols)
-        if len(rows) != len(cols):
-            raise FormatError(
-                f"update arrays must have equal length, got {len(rows)} and {len(cols)}")
-        m, n = self.shape
-        if len(rows) and (rows.min() < 0 or rows.max() >= m):
-            raise DimensionMismatchError(f"update row out of range for {m} rows")
-        if len(cols) and (cols.min() < 0 or cols.max() >= n):
-            raise DimensionMismatchError(f"update col out of range for {n} cols")
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != rows.shape:
-            raise FormatError("values must match update index arrays")
+        rows, cols, vals = check_updates(self.shape, rows, cols, vals)
         if len(rows) == 0:
             return 0
         self._rows.append(rows)
@@ -104,15 +124,11 @@ class DeltaLog:
 
     def set_edges(self, rows, cols, values) -> int:
         """Insert or reweight edges; returns the number of logged events."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.broadcast_to(values, np.shape(as_index_array(rows))).copy()
         return self._append(rows, cols, values, deleted=False)
 
     def delete_edges(self, rows, cols) -> int:
         """Mark edges deleted (no-op for absent edges at resolution time)."""
-        rows = as_index_array(rows)
-        return self._append(rows, cols, np.zeros(len(rows)), deleted=True)
+        return self._append(rows, cols, None, deleted=True)
 
     def clear(self) -> None:
         self._rows, self._cols, self._vals, self._dels = [], [], [], []

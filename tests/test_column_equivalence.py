@@ -254,6 +254,24 @@ def test_column_updates_compact_eagerly_and_stay_exact():
     assert engine.delta_stats()["entries"] == 0  # nothing deferred
 
 
+def test_row_and_column_engines_report_the_same_shape():
+    """Both sharded schemes answer every stats call with the same keys, so
+    reporting and serving code can treat them alike; the summary names the
+    scheme."""
+    matrix = random_csc(20, 24, 0.2, seed=8)
+    x = SparseVector(24, np.array([1, 7, 20]), np.array([1.0, 2.0, 3.0]))
+    ctx = default_context()
+    with ShardedEngine(matrix, 3, ctx) as row, \
+            ColumnShardedEngine(matrix, 3, ctx) as col:
+        for engine in (row, col):
+            engine.multiply(x)
+            engine.apply_updates([2], [5], [1.5])
+        for stats in ("summary", "delta_stats", "workspace_stats", "health_stats"):
+            assert (set(getattr(row, stats)()) == set(getattr(col, stats)())), stats
+        assert row.summary()["scheme"] == "row"
+        assert col.summary()["scheme"] == "column"
+
+
 # --------------------------------------------------------------------------- #
 # scheme resolution and algorithm entry points
 # --------------------------------------------------------------------------- #

@@ -18,9 +18,9 @@ Two properties carry the production story:
 import numpy as np
 import pytest
 
-from repro.core import ShardedEngine, SpMSpVEngine
+from repro.core import ColumnShardedEngine, ShardedEngine, SpMSpVEngine
 from repro.core.sharded import EngineGroup
-from repro.errors import BackendError, NotSupportedError
+from repro.errors import BackendError, FormatError, NotSupportedError
 from repro.formats import DeltaLog, SparseVector, apply_delta, matrices_equal
 from repro.parallel import default_context
 from repro.parallel.backends import ExecutionBackend, ProcessBackend
@@ -190,6 +190,28 @@ def test_apply_updates_refused_while_async_calls_pending():
             engine.compact()
         engine.gather()                                  # drains the queue
         assert engine.apply_updates([0], [0], [1.0])["applied"] == 1
+
+
+@pytest.mark.parametrize("engine_cls", [ShardedEngine, ColumnShardedEngine])
+@pytest.mark.parametrize("rows, cols, values", [
+    ([0, 1], [0], [1.0, 2.0]),          # index arrays of unequal length
+    ([0, 1], [0, 1], [1.0, 2.0, 3.0]),  # more values than edges
+    ([0, 1], [0], None),                # a mismatched deletion batch
+])
+def test_mismatched_update_arrays_raise_format_error(engine_cls, rows, cols,
+                                                     values):
+    """Every engine rejects a malformed batch with the FormatError the
+    monolithic engine raises, before any strip's delta or matrix changes."""
+    matrix = random_csc(20, 20, 0.2, seed=57)
+    with pytest.raises(FormatError):
+        SpMSpVEngine(matrix).apply_updates(rows, cols, values)
+    with engine_cls(matrix, 2, default_context()) as engine:
+        before = list(engine.split.strips)
+        with pytest.raises(FormatError):
+            engine.apply_updates(rows, cols, values)
+        assert all(d.is_empty for d in engine.deltas)
+        assert all(a is b for a, b in zip(engine.split.strips, before))
+        assert engine.compactions == 0
 
 
 # --------------------------------------------------------------------------- #
