@@ -28,12 +28,13 @@ strips and 4 workers:
   at the resilient engine keeping >= 0.95x the plain throughput, i.e. the
   bookkeeping costs at most ~5% when nothing fails.
 
-A fourth, untimed phase audits the **comm plane**: with
-``REPRO_BACKEND_COMM_AUDIT`` enabled the backend additionally accounts what
-the legacy pickle-over-pipe data plane would have shipped for the same
-calls, so the report carries an honest before/after per-call pipe-byte
-breakdown.  The comm gate (pipe bytes per multiply reduced >= 10x by the
-shared-memory slab plane) is machine-independent and always evaluated.
+A further, untimed phase audits the **comm plane**: on both schemes it
+reads the backend's comm counters while the frontier grows from 32 to
+8,192 nonzeros, so the report carries per-call pipe and slab bytes per
+frontier size.  The comm gate (pipe bytes per call at the densest
+frontier <= 1.15x those at the sparsest: arrays ride the shared-memory
+slabs, only fixed-shape control records ride the pipes) is
+machine-independent and always evaluated.
 
 Wall-clock parallelism needs hardware: on machines with fewer than
 ``GATE_MIN_CORES`` physical cores the speedup numbers are still measured
@@ -60,6 +61,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -77,8 +79,9 @@ QUICK_GRAPHS = [("ljournal-like", 13), ("webgoogle-like", 13)]
 SHARDS = 4
 WORKERS = 4
 BLOCK_K = 8
-#: multiplies per graph in the (untimed) comm-audit phase
-AUDIT_CALLS = 4
+#: frontier sizes and multiplies per size of the (untimed) comm audit
+COMM_FRONTIERS = (32, 512, 8192)
+COMM_CALLS = 10
 
 #: speedup gates need real cores: P=4 workers cannot beat one in-process
 #: loop on fewer than 4 of them, so below this those gates report skipped
@@ -88,12 +91,12 @@ GATE_MULTIPLY_SPEEDUP = 1.3
 #: sharded fused multiply_many on the process backend vs the monolithic
 #: fused engine (the ROADMAP caveat: "no longer slower than monolithic")
 GATE_MANY_SPEEDUP = 1.0
-#: pipe bytes per multiply: legacy pickle-over-pipe plane vs the
-#: shared-memory comm plane (machine-independent, never skipped).  With
-#: execution records shipped as metric matrices through the output slab
-#: (instead of pickled over the pipe) the measured reduction is 175-189x,
-#: so the gate holds a ~3x margin
-GATE_COMM_REDUCTION = 60.0
+#: pipe bytes per call at the densest audited frontier over those at the
+#: sparsest, on both schemes (machine-independent, never skipped): arrays
+#: ride the slabs, so only fixed-shape control records ride the pipes.
+#: Measured <= 1.07x while slab bytes per call grow 18x (row) to 250x
+#: (column) over the same sizes
+GATE_COMM_PIPE_GROWTH = 1.15
 #: row-split vs column-split sharded engines, both on the process backend,
 #: at a sparse frontier (n/64): the work-efficient scheme must at least
 #: match row-split where the paper says it wins (core-gated like the other
@@ -109,9 +112,10 @@ GATE_RESILIENCE_MIN = 0.95
 RESILIENCE_CALLS = 20
 
 
-def dense_frontier(n: int, divisor: int, seed: int) -> SparseVector:
+def dense_frontier(n: int, divisor: int, seed: int,
+                   nnz: Optional[int] = None) -> SparseVector:
     rng = np.random.default_rng(seed)
-    nnz = max(64, n // divisor)
+    nnz = nnz or max(64, n // divisor)
     idx = np.sort(rng.choice(n, size=min(nnz, n), replace=False))
     return SparseVector(n, idx, rng.random(len(idx)) + 0.1)
 
@@ -237,49 +241,57 @@ def bench_resilience(matrix, ctx, rounds: int) -> dict:
     return best
 
 
-def audit_comm(matrix, ctx) -> dict:
-    """Untimed comm-plane audit: new vs. legacy pipe bytes for one graph.
+def audit_comm(matrix, ctx) -> list:
+    """Untimed comm-plane audit: per-call pipe and slab bytes vs frontier size.
 
-    Runs a few dense-frontier multiplies and one fused ``multiply_many``
-    batch on a fresh process-backed engine with the backend's legacy-plane
-    audit enabled, then reads the backend's comm counters.  The audit
-    pickles the exact PR-5-shaped messages (input vector + per-strip result
-    triples) without sending them, so the "before" numbers are measured,
-    not estimated.
+    For each scheme (row and column split, process backend) runs
+    ``COMM_CALLS`` multiplies at each of the ``COMM_FRONTIERS`` sizes on
+    one engine and reads the backend's comm counters between sizes.  The
+    comm plane's property is that arrays ride the shared-memory slabs and
+    only fixed-shape control records ride the pipes, so pipe bytes per call
+    stay flat while slab bytes per call grow with the frontier.
     """
-    x = dense_frontier(matrix.ncols, 2, seed=31)
-    frontiers = [dense_frontier(matrix.ncols, 8, seed=41 + i)
-                 for i in range(BLOCK_K)]
-    os.environ["REPRO_BACKEND_COMM_AUDIT"] = "1"
-    try:
-        engine = ShardedEngine(
+    from repro.core import make_sharded_engine
+
+    rows = []
+    for scheme in ("row", "column"):
+        engine = make_sharded_engine(
             matrix, SHARDS, ctx.with_backend("process", workers=WORKERS),
-            algorithm="bucket")
+            algorithm="bucket", scheme=scheme)
+        sizes = []
         try:
-            for _ in range(AUDIT_CALLS):
-                engine.multiply(x)
-            engine.multiply_many(frontiers, block_mode="fused")
-            comm = engine.backend.comm_stats()
+            for f in COMM_FRONTIERS:
+                x = dense_frontier(matrix.ncols, 1, seed=31, nnz=f)
+                before = engine.backend.comm_stats()
+                for _ in range(COMM_CALLS):
+                    engine.multiply(x)
+                after = engine.backend.comm_stats()
+                calls = max(after["calls"] - before["calls"], 1)
+
+                def per_call(*keys):
+                    return round(sum(after[k] - before[k] for k in keys)
+                                 / calls, 1)
+
+                sizes.append({
+                    "frontier_nnz": x.nnz, "calls": calls,
+                    "pipe_bytes_per_call": per_call("pipe_bytes_out",
+                                                    "pipe_bytes_in"),
+                    "slab_bytes_per_call": per_call("slab_bytes_in",
+                                                    "slab_bytes_out"),
+                    "output_overflows": after["output_overflows"]
+                    - before["output_overflows"],
+                })
         finally:
             engine.close()
-    finally:
-        del os.environ["REPRO_BACKEND_COMM_AUDIT"]
-    calls = max(comm["calls"], 1)
-    pipe = comm["pipe_bytes_out"] + comm["pipe_bytes_in"]
-    legacy = comm["legacy_pipe_bytes_out"] + comm["legacy_pipe_bytes_in"]
-    return {
-        "calls": comm["calls"],
-        "pipe_bytes_per_call": round(pipe / calls, 1),
-        "pipe_bytes_out_per_call": round(comm["pipe_bytes_out"] / calls, 1),
-        "pipe_bytes_in_per_call": round(comm["pipe_bytes_in"] / calls, 1),
-        "legacy_pipe_bytes_per_call": round(legacy / calls, 1),
-        "slab_bytes_in_per_call": round(comm["slab_bytes_in"] / calls, 1),
-        "slab_bytes_out_per_call": round(comm["slab_bytes_out"] / calls, 1),
-        "output_overflows": comm["output_overflows"],
-        "input_grows": comm["input_grows"],
-        "output_grows": comm["output_grows"],
-        "reduction": round(legacy / pipe, 2) if pipe else float("inf"),
-    }
+        sparse, dense = sizes[0], sizes[-1]
+        rows.append({
+            "scheme": scheme, "sizes": sizes,
+            "pipe_growth": round(dense["pipe_bytes_per_call"]
+                                 / sparse["pipe_bytes_per_call"], 4),
+            "slab_growth": round(dense["slab_bytes_per_call"]
+                                 / sparse["slab_bytes_per_call"], 2),
+        })
+    return rows
 
 
 def run(quick: bool, threads: int, rounds: int,
@@ -300,7 +312,7 @@ def run(quick: bool, threads: int, rounds: int,
                  "multiply_many_min_speedup": GATE_MANY_SPEEDUP,
                  "column_scheme_min_speedup": GATE_COLUMN_SCHEME,
                  "resilience_min_speedup": GATE_RESILIENCE_MIN,
-                 "comm_min_reduction": GATE_COMM_REDUCTION,
+                 "comm_max_pipe_growth": GATE_COMM_PIPE_GROWTH,
                  "min_cores": GATE_MIN_CORES},
         "graphs": [],
         "results": [],
@@ -356,7 +368,8 @@ def run(quick: bool, threads: int, rounds: int,
             "speedup": round(res["plain"] / res["resilient"], 4)
             if res["resilient"] > 0 else float("inf"),
         })
-        report["comm"].append(dict(graph=name, **audit_comm(matrix, ctx)))
+        report["comm"].extend(dict(graph=name, **row)
+                              for row in audit_comm(matrix, ctx))
 
     gates = {}
     core_gated_ok = cores >= GATE_MIN_CORES or (
@@ -384,11 +397,11 @@ def run(quick: bool, threads: int, rounds: int,
                 f"machine has {cores} core(s); P={WORKERS} workers need "
                 f">= {GATE_MIN_CORES} for wall-clock parallelism")
             gates[workload]["passed"] = None
-    reductions = [c["reduction"] for c in report["comm"]]
+    growths = [c["pipe_growth"] for c in report["comm"]]
     gates["comm"] = {
-        "min_reduction": min(reductions) if reductions else None,
-        "floor": GATE_COMM_REDUCTION,
-        "passed": bool(reductions and min(reductions) >= GATE_COMM_REDUCTION),
+        "max_pipe_growth": max(growths) if growths else None,
+        "ceiling": GATE_COMM_PIPE_GROWTH,
+        "passed": bool(growths and max(growths) <= GATE_COMM_PIPE_GROWTH),
     }
     evaluated = [g["passed"] for g in gates.values() if g["passed"] is not None]
     report["summary"] = {
@@ -415,19 +428,20 @@ def print_table(report: dict) -> None:
               f"{r['speedup']:>7.2f}x")
     print()
     for c in report["comm"]:
-        print(f"{c['graph']:<16} comm: {c['legacy_pipe_bytes_per_call']:>11,.0f} "
-              f"pipe B/call legacy -> {c['pipe_bytes_per_call']:>9,.0f} now "
-              f"({c['reduction']:.1f}x less; "
-              f"{c['slab_bytes_in_per_call'] + c['slab_bytes_out_per_call']:,.0f} "
-              f"B/call via /dev/shm, {c['output_overflows']} overflow retries)")
+        pipe = " / ".join(f"{s['pipe_bytes_per_call']:,.0f}" for s in c["sizes"])
+        fs = " / ".join(str(s["frontier_nnz"]) for s in c["sizes"])
+        print(f"{c['graph']:<16} comm ({c['scheme']}): pipe B/call {pipe} "
+              f"at f = {fs} ({c['pipe_growth']:.2f}x; slab B/call "
+              f"{c['slab_growth']:.0f}x)")
     for workload, gate in report["summary"]["gates"].items():
         if gate.get("skipped"):
             measured = gate.get("min_speedup")
             print(f"{workload} gate SKIPPED: {gate['skipped']} "
                   f"(measured min {measured}x)")
-        elif "min_reduction" in gate:
-            print(f"min comm reduction: {gate['min_reduction']}x "
-                  f"(floor {gate['floor']}x, passed: {gate['passed']})")
+        elif "max_pipe_growth" in gate:
+            print(f"max pipe-bytes growth, sparsest to densest frontier: "
+                  f"{gate['max_pipe_growth']}x (ceiling {gate['ceiling']}x, "
+                  f"passed: {gate['passed']})")
         else:
             print(f"min {workload} speedup: {gate['min_speedup']} "
                   f"(floor {gate['floor']}x, passed: {gate['passed']}"
@@ -444,7 +458,7 @@ def main(argv=None) -> int:
                         help="exit 1 unless every evaluated gate passed "
                              "(speedup gates skip below "
                              f"{GATE_MIN_CORES} cores unless --require-cores; "
-                             "the comm-reduction gate always evaluates)")
+                             "the comm-flatness gate always evaluates)")
     parser.add_argument("--require-cores", type=int, default=0, metavar="N",
                         help="hard-fail (instead of skipping the speedup "
                              "gates) when the machine has fewer than N "
@@ -475,8 +489,9 @@ def main(argv=None) -> int:
               f"multiply_many >= {GATE_MANY_SPEEDUP}x monolithic at "
               f"P={SHARDS}, column scheme >= {GATE_COLUMN_SCHEME}x row at "
               f"a sparse frontier, resilience-on >= {GATE_RESILIENCE_MIN}x "
-              f"plain with zero faults, comm reduction >= "
-              f"{GATE_COMM_REDUCTION}x)", file=sys.stderr)
+              f"plain with zero faults, pipe bytes per call growing <= "
+              f"{GATE_COMM_PIPE_GROWTH}x from the sparsest to the densest "
+              f"frontier)", file=sys.stderr)
         return 1
     return 0
 

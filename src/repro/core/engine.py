@@ -374,7 +374,7 @@ class EngineBase:
     def _plan_batch(self, xs: Sequence[SparseVector],
                     masks: Optional[Sequence[Optional[SparseVector]]],
                     mask_complement: bool, algorithm: Optional[str],
-                    block_mode: str, block_merge: str, kwargs: Dict
+                    block_mode: str, kwargs: Dict
                     ) -> Tuple[List[SparseVector], int, str, bool, str,
                                Optional[np.ndarray]]:
         """Argument checks and the two decisions of one ``multiply_many`` batch.
@@ -392,9 +392,6 @@ class EngineBase:
         """
         if block_mode not in ("auto", "fused", "looped"):
             raise ValueError(f"block_mode must be auto|fused|looped, got {block_mode!r}")
-        if block_merge not in ("segmented", "global"):
-            raise ValueError(
-                f"block_merge must be segmented|global, got {block_merge!r}")
         xs = list(xs)
         if masks is not None and len(masks) != len(xs):
             raise ValueError(f"got {len(xs)} vectors but {len(masks)} masks")
@@ -710,8 +707,7 @@ class SpMSpVEngine(EngineBase):
                        masks: Optional[Sequence[Optional[SparseVector]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
+                       block_mode: str = "auto") -> List[SpMSpVResult]:
         """Blocked execution of an **already-packed** :class:`SparseVectorBlock`.
 
         The batch entry point of the serving layer: a coalescer that packed
@@ -725,7 +721,7 @@ class SpMSpVEngine(EngineBase):
         return self.multiply_many(
             block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
             masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge, _block=block)
+            block_mode=block_mode, _block=block)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
@@ -734,7 +730,6 @@ class SpMSpVEngine(EngineBase):
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
                       block_mode: str = "auto",
-                      block_merge: str = "segmented",
                       _block: Optional[SparseVectorBlock] = None,
                       **kwargs) -> List[SpMSpVResult]:
         """Blocked execution of one matrix against many input vectors.
@@ -747,24 +742,21 @@ class SpMSpVEngine(EngineBase):
         segmented merge for the whole block,
         :func:`~repro.core.spmspv_block.spmspv_bucket_block`) and the
         per-vector loop, per :meth:`select_block_mode`; ``block_mode`` forces
-        the choice (``"fused"`` / ``"looped"``) instead of ``"auto"``, and
-        ``block_merge`` selects the fused kernel's merge strategy
-        (``"segmented"`` per-(vector, bucket) merge, or the legacy
-        ``"global"`` composite-key sort — a perf knob for the regression
-        harness).  Per-vector ``masks`` are folded into the fused scatter, so
+        the choice (``"fused"`` / ``"looped"``) instead of ``"auto"``.
+        Per-vector ``masks`` are folded into the fused scatter, so
         masked batches (multi-source BFS frontiers, restricted PageRank) do
         O(surviving pairs) merge work.  All paths return bit-identical
         results.  This is the multi-source BFS / blocked PageRank entry
         point.
         """
         xs, batch, requested, explored, mode, phi = self._plan_batch(
-            xs, masks, mask_complement, algorithm, block_mode, block_merge, kwargs)
+            xs, masks, mask_complement, algorithm, block_mode, kwargs)
         call = dict(semiring=semiring, sorted_output=sorted_output, masks=masks,
                     mask_complement=mask_complement)
         if mode == "fused":
             return self._multiply_fused(
                 xs, phi, batch=batch, requested=requested, explored=explored,
-                block_merge=block_merge, block=_block, **call)
+                block=_block, **call)
         return self._multiply_looped(xs, phi, batch=batch, requested=requested,
                                      explored=explored, kwargs=kwargs, **call)
 
@@ -773,7 +765,7 @@ class SpMSpVEngine(EngineBase):
                         sorted_output: Optional[bool],
                         masks: Optional[Sequence[Optional[SparseVector]]],
                         mask_complement: bool, requested: str, explored: bool,
-                        block_merge: str, block: Optional[SparseVectorBlock]
+                        block: Optional[SparseVectorBlock]
                         ) -> List[SpMSpVResult]:
         """Run one batch through the fused block kernel, observing its cost."""
         from .spmspv_block import spmspv_bucket_block  # late: avoids import cycle
@@ -788,7 +780,7 @@ class SpMSpVEngine(EngineBase):
                 block = SparseVectorBlock.from_vectors(xs)
             call = dict(semiring=semiring, sorted_output=sorted_output,
                         masks=masks, mask_complement=mask_complement,
-                        merge=block_merge, workspace=self.workspace)
+                        workspace=self.workspace)
             results = spmspv_bucket_block(self.matrix, block, self.ctx, **call)
             pair = self._patch_pair_locked()
             if pair is not None:

@@ -314,7 +314,7 @@ class ShardedEngine(StripEngine):
                         sorted_output: Optional[bool],
                         masks: Optional[Sequence[Optional[SparseVector]]],
                         mask_complement: bool, requested: str, explored: bool,
-                        block_merge: str, block: Optional[SparseVectorBlock]
+                        block: Optional[SparseVectorBlock]
                         ) -> List[SpMSpVResult]:
         """Fused block execution across strips: one shared block, P fused calls.
 
@@ -342,14 +342,13 @@ class ShardedEngine(StripEngine):
 
         per_strip = self.backend.run_block(
             block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge)
+            strip_masks=strip_masks, mask_complement=mask_complement)
         if any(not d.is_empty for d in self.deltas):
             per_strip = self._overlay_locked(
                 per_strip, lambda s, patch: spmspv_bucket_block(
                     patch, block, self.shard_ctx, semiring=semiring,
                     sorted_output=sorted_output, masks=strip_masks[s],
-                    mask_complement=mask_complement, merge=block_merge,
+                    mask_complement=mask_complement,
                     workspace=self._patch_workspace_locked(s)))
         # equal per-vector share of the batch wall time, frozen before the
         # bookkeeping below (as the fused kernel itself apportions)
@@ -373,8 +372,7 @@ class ShardedEngine(StripEngine):
                 info={"m": self.matrix.nrows, "n": self.matrix.ncols,
                       "nnz_A": self.matrix.nnz, "f": x.nnz,
                       "df": df_i, "nnz_y": y.nnz, "fused": True,
-                      "block_k": k, "merge": block_merge,
-                      "shards": self.num_shards})
+                      "block_k": k, "shards": self.num_shards})
             record.wall_time_s = wall_share_s
             self._record_call("bucket_block", requested, x,
                               self._price.record_time_ms(record),
@@ -382,8 +380,7 @@ class ShardedEngine(StripEngine):
             results.append(SpMSpVResult(
                 vector=y, record=record,
                 info={"f": x.nnz, "df": df_i, "nnz_y": y.nnz,
-                      "fused": True, "merge": block_merge,
-                      "shards": self.num_shards}))
+                      "fused": True, "shards": self.num_shards}))
         self._fused_batches += 1
         self._block_fits["fused"].observe(phi, (time.perf_counter() - t0) * 1e3)
         return results

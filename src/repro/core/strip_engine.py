@@ -109,7 +109,6 @@ class StripEngine(EngineBase):
         self.backend: ExecutionBackend = make_backend(
             self.ctx.backend, strips=backend_strips,
             shard_ctx=self.shard_ctx, dtype=matrix.dtype,
-            use_thread_pool=self.ctx.use_thread_pool,
             workers=self.ctx.backend_workers, scheme=self.scheme)
         strip_nnz = np.array([strip.nnz for strip in self.split.strips], dtype=np.float64)
         mean_nnz = float(strip_nnz.mean()) if len(strip_nnz) else 0.0
@@ -311,8 +310,7 @@ class StripEngine(EngineBase):
                        masks: Optional[Sequence[Optional[SparseVector]]] = None,
                        mask_complement: bool = False,
                        algorithm: Optional[str] = None,
-                       block_mode: str = "auto",
-                       block_merge: str = "segmented") -> List[SpMSpVResult]:
+                       block_mode: str = "auto") -> List[SpMSpVResult]:
         """Sharded execution of an already-packed block (serving entry point).
 
         Mirrors :meth:`SpMSpVEngine.multiply_block`: a fused path reuses the
@@ -323,7 +321,7 @@ class StripEngine(EngineBase):
         return self.multiply_many(
             block.to_vectors(), semiring=semiring, sorted_output=sorted_output,
             masks=masks, mask_complement=mask_complement, algorithm=algorithm,
-            block_mode=block_mode, block_merge=block_merge, _block=block)
+            block_mode=block_mode, _block=block)
 
     def multiply_many(self, xs: Sequence[SparseVector], *,
                       semiring: Semiring = PLUS_TIMES,
@@ -332,7 +330,6 @@ class StripEngine(EngineBase):
                       mask_complement: bool = False,
                       algorithm: Optional[str] = None,
                       block_mode: str = "auto",
-                      block_merge: str = "segmented",
                       _block: Optional[SparseVectorBlock] = None,
                       **kwargs) -> List[SpMSpVResult]:
         """Sharded blocked execution of one matrix against many input vectors.
@@ -344,14 +341,13 @@ class StripEngine(EngineBase):
         """
         with self._lock:
             xs, batch, requested, explored, mode, phi = self._plan_batch(
-                xs, masks, mask_complement, algorithm, block_mode, block_merge,
-                kwargs)
+                xs, masks, mask_complement, algorithm, block_mode, kwargs)
             call = dict(semiring=semiring, sorted_output=sorted_output,
                         masks=masks, mask_complement=mask_complement)
             if mode == "fused":
                 return self._multiply_fused(
                     xs, phi, batch=batch, requested=requested,
-                    explored=explored, block_merge=block_merge, block=_block,
+                    explored=explored, block=_block,
                     **call)
             return self._multiply_looped(
                 xs, phi, batch=batch, requested=requested, explored=explored,

@@ -1,37 +1,47 @@
-"""Pluggable execution backends for sharded SpMSpV.
+"""Pluggable execution backends for strip-partitioned SpMSpV.
 
-The :class:`~repro.core.sharded.ShardedEngine` turns one multiplication into
-P independent per-strip kernel calls.  *How* those calls execute is this
-module's concern, behind one small seam:
+A strip engine (:class:`~repro.core.strip_engine.StripEngine`: the row-split
+:class:`~repro.core.sharded.ShardedEngine` and the column-split
+:class:`~repro.core.column_sharded.ColumnShardedEngine`) turns one
+multiplication into P independent per-strip kernel calls.  *How* those calls
+execute is this module's concern, behind one small seam: a call is an
+op-tagged strip call — ``multiply`` (a per-vector kernel on every row
+strip), ``block`` (the fused block kernel on every row strip) or
+``partial`` (the private half of a column strip's SpMSpV) — made of the
+inputs every strip shares and the inputs each strip gets alone.  Each op
+keeps only its own decisions: how its inputs pack (the typed
+``submit_*`` packers of :class:`ExecutionBackend`) and which kernel runs on
+a strip (:func:`run_strip`, the one place strips call kernels).  Every
+backend executes the same strip call:
 
-* :class:`EmulatedBackend` — the historical behaviour, unchanged: strips run
-  deterministically in the calling process (optionally fanned out on the
-  GIL-bound thread pool).  Bit-reproducible, zero setup cost, no wall-clock
-  parallelism.
+* :class:`EmulatedBackend` — strips run deterministically in the calling
+  process (optionally fanned out on the GIL-bound thread pool).
+  Bit-reproducible, zero setup cost, no wall-clock parallelism.
 * :class:`ProcessBackend` — a persistent ``multiprocessing`` worker pool
-  with a **zero-copy comm plane**.  Strip CSC arrays are copied **once**, at
+  with a **zero-copy comm plane**.  Strip arrays are copied **once**, at
   backend build, into ``multiprocessing.shared_memory`` slabs
   (:class:`~repro.core.workspace.SharedSlab`); each worker attaches
-  zero-copy views, builds its strips' persistent
-  :class:`~repro.core.workspace.SpMSpVWorkspace` objects, and keeps both for
-  its lifetime.  Per call, the input frontier (or packed
-  :class:`~repro.formats.vector_block.SparseVectorBlock`) and every
-  per-strip mask slice are packed **once** into a shared-memory input arena
-  (:class:`~repro.core.workspace.SlabArena`) that all strips attach —
-  broadcast-once, instead of P pickled copies — and workers write their
-  ``(indices, values)`` outputs directly into preallocated per-strip output
-  slabs.  The only pipe traffic is fixed-shape control records (call id,
-  strip ids, region descriptors, work metrics).  Output slabs grow
+  zero-copy views, builds the persistent
+  :class:`~repro.core.workspace.SpMSpVWorkspace` objects its row strips
+  use, and keeps both for its lifetime.  Per call, every array input — the
+  frontier or packed :class:`~repro.formats.vector_block.SparseVectorBlock`,
+  mask slices, column-frontier slices — is packed **once** into a
+  shared-memory input arena (:class:`~repro.core.workspace.SlabArena`) that
+  all strips attach — broadcast-once, instead of P pickled copies — and
+  workers write their results directly into preallocated per-strip output
+  slabs.  One codec pair moves inputs and results alike: arrays ride the
+  slabs, and only fixed-shape control records (call id, strip ids, region
+  descriptors, metric-record meta) ride the pipes.  Output slabs grow
   geometrically: a result that outgrows its granted region is retained by
   the worker, reported as a ``grow`` record, and flushed into a re-granted
-  region — no respawn, no recompute.  The async
-  :meth:`submit_multiply`/:meth:`gather_multiply` pair broadcasts a call's
-  strips immediately and drains completion records as they land, so
-  consecutive multiplies pipeline across workers instead of barriering per
-  call (:meth:`~repro.core.sharded.ShardedEngine.gather` drives this).
+  region — no respawn, no recompute.  The async :meth:`~ExecutionBackend.submit`
+  / :meth:`~ExecutionBackend.gather` pair broadcasts a call's strips
+  immediately and drains completion records as they land, so consecutive
+  calls pipeline across workers instead of barriering per call
+  (:meth:`~repro.core.strip_engine.StripEngine.gather` drives this).
 
-Determinism contract: a kernel is a pure function of (strip, vector, call
-options), so for any *fixed* kernel/mode the two backends are **bit
+Determinism contract: a kernel is a pure function of (strip, inputs, call
+options), so for any *fixed* kernel/mode the backends are **bit
 identical** — outputs, work metrics, and the priced costs that drive
 adaptive dispatch (wall times differ, so the wall-time-trained fused-vs-
 looped block fits may take different internal routes under ``"auto"``; every
@@ -48,10 +58,11 @@ context's :class:`~repro.parallel.context.RetryPolicy` the lost strips are
 transparently re-dispatched (respawn + re-grant + resend of the same input
 region — bit-identical results), past the retry budget the
 ``degraded_fallback`` mode recomputes them in-process from the parent's own
-strip copies, and only with both exhausted/disabled does the call surface
-exactly one :class:`~repro.errors.BackendError`.  A call that exceeds the
-context's ``deadline`` raises :class:`~repro.errors.DeadlineError` after
-being cleanly abandoned (its slab regions release as late replies drain).
+strip copies and the inputs retained at submit, and only with both
+exhausted/disabled does the call surface exactly one
+:class:`~repro.errors.BackendError`.  A call that exceeds the context's
+``deadline`` raises :class:`~repro.errors.DeadlineError` after being cleanly
+abandoned (its slab regions release as late replies drain).
 ``health_stats()`` reports deaths/retries/fallbacks/deadline hits;
 :mod:`repro.parallel.faults` injects all of these failures deterministically
 through the ``chaos`` wrapper backend.  The pool respawns dead workers
@@ -78,6 +89,7 @@ import numpy as np
 from ..errors import BackendError, DeadlineError, NotSupportedError
 from ..formats.csc import CSCMatrix
 from ..formats.sparse_vector import SparseVector
+from ..formats.vector_block import SparseVectorBlock
 from ..semiring import Semiring, get_semiring
 from .context import ExecutionContext, RetryPolicy
 from .threadpool import run_chunks
@@ -91,16 +103,16 @@ _FRESH_STATS_TEMPLATE: Optional[Dict[str, float]] = None
 #: tests shrink these to force the overflow/regrow paths deterministically
 _INPUT_SLAB_ENV = "REPRO_BACKEND_INPUT_SLAB"
 _OUTPUT_SLAB_ENV = "REPRO_BACKEND_OUTPUT_SLAB"
-#: env knob enabling the legacy-plane byte audit (measures what the PR-5
-#: pickle-over-pipe plane *would* have shipped, for the bench's breakdown)
-_COMM_AUDIT_ENV = "REPRO_BACKEND_COMM_AUDIT"
 #: env knob carrying a seeded fault plan (see :mod:`repro.parallel.faults`);
-#: when set, :func:`make_backend` wraps the process backend in the chaos
+#: when set, :func:`make_backend` reroutes the process backend to the chaos
 #: backend so every backend-selecting call site runs under injected faults
 _FAULTS_ENV = "REPRO_BACKEND_FAULTS"
 
 _DEFAULT_INPUT_SLAB = 1 << 16
 _DEFAULT_OUTPUT_SLAB = 1 << 16
+
+#: the strip ops, each with one grant-size hint per strip
+_OPS = ("multiply", "block", "partial")
 
 
 def _fresh_stats(spa_rows: int) -> Dict[str, float]:
@@ -129,99 +141,315 @@ def _attach_strip_id(exc: BaseException, strip: int, backend: str,
     return exc
 
 
+# --------------------------------------------------------------------------- #
+# the strip call: one runner, one input and one result codec
+# --------------------------------------------------------------------------- #
+def _prepare_call(op: str, shared: Dict) -> Dict:
+    """What every strip of one call reuses, derived once per call.
+
+    Column strips all span the full row space, so a partial call's row mask
+    compiles to one bitmap for the whole fan-out instead of one per strip.
+    """
+    if op != "partial":
+        return shared
+    from ..core.vector_ops import mask_bitmap  # late: avoids import cycle
+
+    mask = shared["mask"]
+    return dict(shared, bitmap=None if mask is None else mask_bitmap(mask, mask.n))
+
+
+def run_strip(op: str, matrix, inputs: Dict, ctx: ExecutionContext,
+              workspace) -> List:
+    """Run one strip op on one strip; the only place strips call kernels.
+
+    ``inputs`` merges the call's shared inputs (after
+    :func:`_prepare_call`) with this strip's own (see the ``submit_*``
+    packers of :class:`ExecutionBackend`); ``workspace`` is the strip's
+    persistent workspace, or None for an op that uses none.  Returns the
+    strip's result list: one :class:`~repro.core.result.SpMSpVResult` for
+    ``multiply``, k for ``block``, one
+    :class:`~repro.core.spmspv_column.ColumnPartial` for ``partial``.
+    """
+    semiring = inputs["semiring"]
+    if op == "multiply":
+        from ..core.dispatch import get_algorithm  # late: avoids import cycle
+        from ..core.engine import _accepts_workspace
+
+        fn = get_algorithm(inputs["algorithm"])
+        kw = dict(inputs["kwargs"])
+        if workspace is not None and _accepts_workspace(fn):
+            kw["workspace"] = workspace
+        return [fn(matrix, inputs["x"], ctx, semiring=semiring,
+                   sorted_output=inputs["sorted_output"], mask=inputs["mask"],
+                   mask_complement=inputs["mask_complement"], **kw)]
+    if op == "block":
+        from ..core.spmspv_block import spmspv_bucket_block
+
+        return spmspv_bucket_block(
+            matrix, inputs["block"], ctx, semiring=semiring,
+            sorted_output=inputs["sorted_output"], masks=inputs["masks"],
+            mask_complement=inputs["mask_complement"], workspace=workspace)
+    if op == "partial":
+        from ..core.spmspv_column import column_partial
+
+        return [column_partial(
+            matrix, inputs["idx"], inputs["vals"], inputs["gpos"], ctx,
+            semiring=semiring, out_dtype=inputs["out_dtype"],
+            algorithm=inputs["algorithm"], bitmap=inputs["bitmap"],
+            mask_complement=inputs["mask_complement"])]
+    raise BackendError(f"unknown backend op {op!r}")
+
+
+def _semiring_name(semiring: Semiring) -> str:
+    """Encode a semiring for transport (registered semirings only).
+
+    Built-in semirings carry lambdas, which do not pickle; both ends of the
+    pipe therefore exchange registry *names*.  An unregistered custom
+    semiring is rejected here, parent-side, with a clear message instead of
+    a worker-side pickling failure.
+    """
+    try:
+        if get_semiring(semiring.name) == semiring:
+            return semiring.name
+    except KeyError:
+        pass
+    raise NotSupportedError(
+        f"the process backend ships semirings by registry name, and "
+        f"{semiring!r} is not the registered semiring of that name; "
+        f"use the emulated backend for ad-hoc semirings")
+
+
+class _Ref:
+    """A value packed into a slab region: its kind, descriptors and meta."""
+
+    __slots__ = ("kind", "descs", "meta")
+
+    def __init__(self, kind: str, descs, meta=None):
+        self.kind = kind
+        #: ``(first, count)`` into the packed array list until
+        #: :func:`_bind_refs` swaps in the region descriptors
+        self.descs = descs
+        self.meta = meta
+
+    def __reduce__(self):
+        return _Ref, (self.kind, self.descs, self.meta)
+
+
+def _encode_value(value, arrays: List[np.ndarray], refs: List[_Ref]):
+    """Move a value's arrays into ``arrays``; returns what rides the pipe.
+
+    Vectors, blocks and arrays become slab references, semirings travel by
+    registry name, lists encode element-wise, and anything else (flags,
+    names, kernel options) rides the pipe as itself.
+    """
+    if isinstance(value, list):
+        return [_encode_value(v, arrays, refs) for v in value]
+    if isinstance(value, Semiring):
+        return _Ref("semiring", (), _semiring_name(value))
+    if isinstance(value, SparseVector):
+        kind, meta, parts = "vector", (value.n, value.sorted), \
+            (value.indices, value.values)
+    elif isinstance(value, SparseVectorBlock):
+        kind, (meta, parts) = "block", value.pack_arrays()
+    elif isinstance(value, np.ndarray):
+        kind, meta, parts = "array", None, (value,)
+    else:
+        return value
+    ref = _Ref(kind, (len(arrays), len(parts)), meta)
+    arrays.extend(np.ascontiguousarray(p) for p in parts)
+    refs.append(ref)
+    return ref
+
+
+def _bind_refs(refs: List[_Ref], descs: List) -> None:
+    """Point each reference at its arrays' descriptors in the packed region."""
+    for ref in refs:
+        first, count = ref.descs
+        ref.descs = descs[first:first + count]
+
+
+def _decode_value(value, region: np.ndarray, copy: bool = False):
+    """Rebuild an encoded value over ``region`` (zero-copy unless ``copy``)."""
+    if isinstance(value, list):
+        return [_decode_value(v, region, copy) for v in value]
+    if not isinstance(value, _Ref):
+        return value
+    if value.kind == "semiring":
+        return get_semiring(value.meta)
+    from ..core.workspace import unpack_arrays  # late: avoids import cycle
+
+    arrays = unpack_arrays(region, value.descs)
+    if copy:
+        arrays = [a.copy() for a in arrays]
+    if value.kind == "vector":
+        n, sorted_flag = value.meta
+        return SparseVector(n, *arrays, sorted=sorted_flag, check=False)
+    if value.kind == "block":
+        return SparseVectorBlock.from_arrays(value.meta, arrays)
+    return arrays[0]
+
+
+def _encode_inputs(inputs: Dict, arrays: List[np.ndarray],
+                   refs: List[_Ref]) -> Dict:
+    return {k: _encode_value(v, arrays, refs) for k, v in inputs.items()}
+
+
+def _decode_inputs(spec: Dict, region: np.ndarray) -> Dict:
+    return {k: _decode_value(v, region) for k, v in spec.items()}
+
+
+def _encode_results(results: List, arrays: List[np.ndarray],
+                    refs: List[_Ref]) -> List:
+    """Encode one strip's results — kernel results or column partials.
+
+    Execution records travel as dense int64 metric matrices *inside the
+    slab*; only their small structural meta rides the pipe, so per-call
+    pipe traffic stays fixed-shape whatever the result sizes.
+    """
+    from .metrics import encode_record
+
+    out = []
+    for r in results:
+        rec_meta, metric_matrix = encode_record(r.record)
+        body = ((r.nrows, r.rows, r.vals, r.gpos) if hasattr(r, "gpos")
+                else (r.vector,))
+        out.append(([_encode_value(v, arrays, refs) for v in body], rec_meta,
+                    _encode_value(metric_matrix, arrays, refs), r.info))
+    return out
+
+
+def _decode_results(entries: List, region: np.ndarray) -> List:
+    """Copy one strip's results out of its output region."""
+    from ..core.result import SpMSpVResult  # late: avoids import cycle
+    from ..core.spmspv_column import ColumnPartial
+    from .metrics import decode_record
+
+    out = []
+    for body, rec_meta, metric, info in entries:
+        body = [_decode_value(v, region, copy=True) for v in body]
+        record = decode_record(rec_meta, _decode_value(metric, region))
+        if len(body) == 4:
+            nrows, rows, vals, gpos = body
+            out.append(ColumnPartial(nrows=nrows, rows=rows, vals=vals,
+                                     gpos=gpos, record=record, info=info))
+        else:
+            out.append(SpMSpVResult(vector=body[0], record=record, info=info))
+    return out
+
+
 class ExecutionBackend(ABC):
-    """How a sharded engine executes its P independent per-strip calls.
+    """How a strip engine executes its P independent per-strip calls.
 
-    A backend is built once per :class:`~repro.core.sharded.ShardedEngine`
-    from the engine's row strips and per-strip context (``num_threads=1`` —
-    the paper's sync-free row-split configuration), owns whatever persistent
-    per-strip state the execution needs (workspaces, worker processes,
-    shared memory), and serves two operations: a per-vector multiply fanned
-    across all strips, and a fused block multiply fanned across all strips.
-    Results always come back in strip order; strip outputs are row-disjoint,
-    so the engine concatenates them without a merge.
+    A backend is built once per strip engine from the engine's strips and
+    per-strip context (``num_threads=1`` — the paper's sync-free split
+    configuration), owns whatever persistent per-strip state the execution
+    needs (workspaces, worker processes, shared memory), and executes
+    op-tagged strip calls through the async pair :meth:`submit` /
+    :meth:`gather`.  Results always come back in strip order.
 
-    The async pair :meth:`submit_multiply` / :meth:`gather_multiply` lets
-    the engine keep several independent multiplies in flight at once.  The
-    base implementation simply defers execution to gather time (no overlap,
-    bit-identical bookkeeping order); backends with real concurrency
-    override it to start work at submit.
+    The typed entry points are thin packers over that pair:
+    :meth:`submit_multiply` (a per-vector kernel fanned across all row
+    strips), :meth:`submit_block` (the fused block kernel fanned across all
+    row strips) and :meth:`submit_partial` (column-strip partials), each
+    with its ``gather_*`` and a synchronous ``run_*``.  A backend
+    implements :meth:`submit`, :meth:`gather` and :meth:`workspace_stats`.
     """
 
     name: str = "?"
 
     @abstractmethod
-    def run_multiply(self, algorithm: str, x: SparseVector, *,
-                     semiring: Semiring, sorted_output: Optional[bool],
-                     mask_slices: Sequence[Optional[SparseVector]],
-                     mask_complement: bool, kwargs: Dict) -> List:
-        """One kernel call per strip; returns per-strip results in strip order."""
+    def submit(self, op: str, shared: Dict, strips: Sequence[Dict]):
+        """Queue one strip call; returns an opaque token for :meth:`gather`.
+
+        ``shared`` holds the inputs every strip uses, ``strips[s]`` the
+        inputs of strip ``s`` alone; each strip runs
+        ``run_strip(op, strip, {**shared, **strips[s]}, ...)``.
+        """
 
     @abstractmethod
-    def run_block(self, block, *, semiring: Semiring,
-                  sorted_output: Optional[bool], strip_masks: Sequence,
-                  mask_complement: bool, block_merge: str) -> List[List]:
-        """One fused block call per strip; per-strip lists of k results."""
-
-    def run_partial(self, algorithm: str, slices: Sequence[tuple], *,
-                    semiring: Semiring, mask: Optional[SparseVector],
-                    mask_complement: bool, out_dtype) -> List:
-        """One column-strip partial per strip (column-split scheme).
-
-        ``slices`` holds one ``(local_idx, values, gpos)`` frontier slice
-        per strip (see :func:`repro.core.spmspv_column.slice_frontier`);
-        ``mask`` is the **full row-space** output mask (column strips all
-        span the full row space, so one mask serves every strip).  Returns
-        per-strip :class:`~repro.core.spmspv_column.ColumnPartial` streams
-        in strip order; the caller runs the reduction phase.  Only backends
-        built with ``scheme="column"`` support this operation.
-        """
-        raise NotSupportedError(
-            f"backend {self.name!r} was not built for the column-split "
-            f"scheme; construct it with scheme='column'")
+    def gather(self, token) -> List[List]:
+        """Complete a submitted call; per-strip result lists in strip order."""
 
     @abstractmethod
     def workspace_stats(self) -> List[Dict[str, float]]:
         """Latest known per-strip workspace reuse statistics."""
 
     # ------------------------------------------------------------------ #
-    # async front-end (overlapped gather)
+    # typed entry points: each op's packing decisions
     # ------------------------------------------------------------------ #
     def submit_multiply(self, algorithm: str, x: SparseVector, *,
                         semiring: Semiring, sorted_output: Optional[bool],
                         mask_slices: Sequence[Optional[SparseVector]],
                         mask_complement: bool, kwargs: Dict):
-        """Queue one multiply; returns an opaque token for :meth:`gather_multiply`.
+        """Queue one per-vector multiply; ``mask_slices[s]`` is strip ``s``'s
+        slice of the row mask.  Token for :meth:`gather_multiply`."""
+        return self.submit("multiply", {
+            "algorithm": algorithm, "x": x, "semiring": semiring,
+            "sorted_output": sorted_output,
+            "mask_complement": mask_complement, "kwargs": kwargs},
+            [{"mask": mask} for mask in mask_slices])
 
-        Default: a deferred thunk executed at gather (in-process backends
-        cannot overlap anyway, and deferring keeps the two backends'
-        bookkeeping order identical).
-        """
-        def run():
-            return self.run_multiply(
-                algorithm, x, semiring=semiring, sorted_output=sorted_output,
-                mask_slices=mask_slices, mask_complement=mask_complement,
-                kwargs=kwargs)
-        return run
-
-    def gather_multiply(self, token) -> List:
-        """Complete a submitted multiply; per-strip results in strip order."""
-        return token()
+    def submit_block(self, block: SparseVectorBlock, *, semiring: Semiring,
+                     sorted_output: Optional[bool], strip_masks: Sequence,
+                     mask_complement: bool):
+        """Queue one fused block multiply; ``strip_masks[s]`` is None or
+        strip ``s``'s k mask slices.  Token for :meth:`gather_block`."""
+        return self.submit("block", {
+            "block": block, "semiring": semiring,
+            "sorted_output": sorted_output,
+            "mask_complement": mask_complement},
+            [{"masks": masks} for masks in strip_masks])
 
     def submit_partial(self, algorithm: str, slices: Sequence[tuple], *,
                        semiring: Semiring, mask: Optional[SparseVector],
                        mask_complement: bool, out_dtype):
-        """Queue one column-partial fan-out; token for :meth:`gather_partial`."""
-        def run():
-            return self.run_partial(
-                algorithm, slices, semiring=semiring, mask=mask,
-                mask_complement=mask_complement, out_dtype=out_dtype)
-        return run
+        """Queue one column-partial fan-out (column-split scheme only).
+
+        ``slices`` holds one ``(local_idx, values, gpos)`` frontier slice
+        per strip (see :func:`repro.core.spmspv_column.slice_frontier`);
+        ``mask`` is the **full row-space** output mask (column strips all
+        span the full row space, so one mask serves every strip).  Token
+        for :meth:`gather_partial`, which returns per-strip
+        :class:`~repro.core.spmspv_column.ColumnPartial` streams in strip
+        order; the caller runs the reduction phase.
+        """
+        if self.scheme != "column":
+            raise NotSupportedError(
+                f"backend {self.name!r} was built for the {self.scheme!r} "
+                f"scheme; construct it with scheme='column' to run column "
+                f"partials")
+        return self.submit("partial", {
+            "algorithm": algorithm, "semiring": semiring, "mask": mask,
+            "mask_complement": mask_complement,
+            "out_dtype": np.dtype(out_dtype).str},
+            [{"idx": idx, "vals": vals, "gpos": gpos}
+             for idx, vals, gpos in slices])
+
+    def gather_multiply(self, token) -> List:
+        """Complete a one-result-per-strip call; results in strip order."""
+        return [results[0] for results in self.gather(token)]
+
+    def gather_block(self, token) -> List[List]:
+        """Complete a fused block call; per-strip lists of k results."""
+        return self.gather(token)
 
     def gather_partial(self, token) -> List:
-        """Complete a submitted column-partial; per-strip streams in strip order."""
-        return token()
+        """Complete a column-partial call; per-strip streams in strip order."""
+        return self.gather_multiply(token)
 
+    def run_multiply(self, algorithm: str, x: SparseVector, **call) -> List:
+        return self.gather_multiply(self.submit_multiply(algorithm, x, **call))
+
+    def run_block(self, block: SparseVectorBlock, **call) -> List[List]:
+        return self.gather_block(self.submit_block(block, **call))
+
+    def run_partial(self, algorithm: str, slices: Sequence[tuple],
+                    **call) -> List:
+        return self.gather_partial(self.submit_partial(algorithm, slices, **call))
+
+    # ------------------------------------------------------------------ #
+    # lifecycle and accounting
+    # ------------------------------------------------------------------ #
     def abandon(self, token) -> None:
         """Give up on a submitted call (its results will never be gathered)."""
 
@@ -270,25 +498,26 @@ class EmulatedBackend(ExecutionBackend):
     """Deterministic in-process execution — the historical sharded behaviour.
 
     Strips run sequentially in the calling thread (or on the shared
-    ``ThreadPoolExecutor`` when the context asks for it); each strip owns a
-    local persistent workspace.  This is the default backend: zero setup
-    cost, bit-reproducible, and the right choice whenever the workload is
-    dominated by correctness runs, tests, or single-core machines.
+    ``ThreadPoolExecutor`` when the context asks for it); each row strip
+    owns a local persistent workspace (column partials use none).  This is
+    the default backend: zero setup cost, bit-reproducible, and the right
+    choice whenever the workload is dominated by correctness runs, tests,
+    or single-core machines.
     """
 
     name = "emulated"
 
     def __init__(self, *, strips: Sequence[CSCMatrix], shard_ctx: ExecutionContext,
-                 dtype, use_thread_pool: bool = False, workers: int = 0,
-                 scheme: str = "row"):
+                 dtype, workers: int = 0, scheme: str = "row"):
         from ..core.workspace import SpMSpVWorkspace  # late: avoids import cycle
 
         self.strips = list(strips)
         self.shard_ctx = shard_ctx
         self.scheme = scheme
-        self.use_thread_pool = bool(use_thread_pool)
+        #: per-strip persistent workspaces of the row ops; column partials
+        #: acquire none, so a column backend holds none
         self.workspaces = [SpMSpVWorkspace(s.nrows, dtype=dtype)
-                           for s in self.strips]
+                           for s in self.strips] if scheme == "row" else []
 
     def _deadline_check(self, started_at: float, s: int) -> None:
         """Cooperative per-strip deadline: in-process strips cannot be
@@ -300,79 +529,27 @@ class EmulatedBackend(ExecutionBackend):
                 f"emulated backend call exceeded its {deadline:.3f}s deadline "
                 f"before strip {s} started")
 
-    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
-                     mask_slices, mask_complement, kwargs):
-        from ..core.dispatch import get_algorithm
-        from ..core.engine import _accepts_workspace
+    def submit(self, op, shared, strips):
+        # deferred to gather: in-process strips cannot overlap anyway, and
+        # deferring keeps the backends' bookkeeping order identical
+        return op, shared, strips
 
-        fn = get_algorithm(algorithm)
-        takes_ws = _accepts_workspace(fn)
-        t0 = time.monotonic()
-
-        def call(s: int):
-            self._deadline_check(t0, s)
-            kw = dict(kwargs)
-            if takes_ws:
-                kw["workspace"] = self.workspaces[s]
-            try:
-                return fn(self.strips[s], x, self.shard_ctx,
-                          semiring=semiring, sorted_output=sorted_output,
-                          mask=mask_slices[s], mask_complement=mask_complement,
-                          **kw)
-            except Exception as exc:
-                raise _attach_strip_id(exc, s, self.name)
-
-        return run_chunks(call, len(self.strips),
-                          use_thread_pool=self.use_thread_pool)
-
-    def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
-        from ..core.spmspv_block import spmspv_bucket_block
-
+    def gather(self, token):
+        op, shared, strips = token
+        shared = _prepare_call(op, shared)
         t0 = time.monotonic()
 
         def call(s: int):
             self._deadline_check(t0, s)
             try:
-                return spmspv_bucket_block(
-                    self.strips[s], block, self.shard_ctx, semiring=semiring,
-                    sorted_output=sorted_output, masks=strip_masks[s],
-                    mask_complement=mask_complement, merge=block_merge,
-                    workspace=self.workspaces[s])
+                return run_strip(op, self.strips[s], {**shared, **strips[s]},
+                                 self.shard_ctx,
+                                 self.workspaces[s] if self.workspaces else None)
             except Exception as exc:
                 raise _attach_strip_id(exc, s, self.name)
 
         return run_chunks(call, len(self.strips),
-                          use_thread_pool=self.use_thread_pool)
-
-    def run_partial(self, algorithm, slices, *, semiring, mask,
-                    mask_complement, out_dtype):
-        from ..core.spmspv_column import column_partial
-        from ..core.vector_ops import mask_bitmap
-
-        if self.scheme != "column":
-            return super().run_partial(
-                algorithm, slices, semiring=semiring, mask=mask,
-                mask_complement=mask_complement, out_dtype=out_dtype)
-        t0 = time.monotonic()
-        # one bitmap for the whole fan-out: every column strip spans the
-        # full row space, so the mask is shared rather than sliced
-        bitmap = mask_bitmap(mask, self.strips[0].nrows) if self.strips else None
-
-        def call(s: int):
-            self._deadline_check(t0, s)
-            idx, vals, gpos = slices[s]
-            try:
-                return column_partial(
-                    self.strips[s], idx, vals, gpos, self.shard_ctx,
-                    semiring=semiring, out_dtype=out_dtype,
-                    algorithm=algorithm, bitmap=bitmap,
-                    mask_complement=mask_complement)
-            except Exception as exc:
-                raise _attach_strip_id(exc, s, self.name)
-
-        return run_chunks(call, len(self.strips),
-                          use_thread_pool=self.use_thread_pool)
+                          use_thread_pool=self.shard_ctx.use_thread_pool)
 
     def workspace_stats(self):
         return [ws.stats() for ws in self.workspaces]
@@ -431,34 +608,25 @@ def _send_obj(conn, obj) -> int:
     return len(payload)
 
 
-def _payload_nbytes(descs) -> int:
-    """Region bytes a packed payload actually used (from its descriptors)."""
-    from ..core.workspace import _align_up  # late: avoids import cycle
-
-    end = 0
-    for offset, dtype, shape in descs:
-        count = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
-        end = max(end, offset + count * np.dtype(dtype).itemsize)
-    return _align_up(end)
-
-
 def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
     """Serve calls until stopped; every shm view lives inside this frame.
 
-    The worker holds, for its assigned strips, zero-copy CSC views over the
-    parent's shared-memory slabs and locally-allocated persistent
-    workspaces.  Inputs arrive as region descriptors into the engine's
-    input arena (one packed frontier/block + mask slices per call, shared by
-    every strip); outputs are packed into the parent-granted per-strip
-    output regions, so replies carry only descriptors, records and stats.
-    A result that outgrows its grant is retained locally and reported as a
-    ``grow`` record; the parent re-grants a large-enough region and the
-    worker flushes the retained vectors — no recompute, no respawn.  Kernel
-    exceptions are caught per strip and shipped back; only transport failure
-    ends the loop.  Workers do *not* untrack the segments they attach: a
-    pool worker shares its parent's ``resource_tracker`` (both fork and
-    spawn ship the tracker fd), whose registry is a set — the attach-side
-    register is idempotent and the owner's unlink unregisters exactly once.
+    The worker holds, for its assigned strips, zero-copy strip views over
+    the parent's shared-memory slabs and locally-allocated persistent
+    workspaces (row strips only: column partials use none).  A call
+    message decodes into the same per-strip inputs the emulated backend
+    and the degraded fallback use, and each strip runs :func:`run_strip`;
+    results are packed into the parent-granted per-strip output regions,
+    so replies carry only descriptors, records and stats.  A result that
+    outgrows its grant is retained locally and reported as a ``grow``
+    record; the parent re-grants a large-enough region and the worker
+    flushes the retained results — no recompute, no respawn.  Kernel
+    exceptions are caught per strip and shipped back; only transport
+    failure ends the loop.  Workers do *not* untrack the segments they
+    attach: a pool worker shares its parent's ``resource_tracker`` (both
+    fork and spawn ship the tracker fd), whose registry is a set — the
+    attach-side register is idempotent and the owner's unlink unregisters
+    exactly once.
 
     The recv loop polls with a timeout and watches ``os.getppid()``: a
     fork-started worker inherits the parent ends of its *siblings'* pipes,
@@ -466,22 +634,14 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
     delivers EOF — the reparent check is what lets orphaned workers exit
     instead of pinning their shared-memory mappings forever.
     """
-    from ..core.dispatch import get_algorithm
-    from ..core.engine import _accepts_workspace
-    from ..core.spmspv_block import spmspv_bucket_block
-    from ..core.spmspv_column import column_partial
-    from ..core.vector_ops import mask_bitmap
     from ..core.workspace import (
         SharedSlab,
         SlabReader,
         SpMSpVWorkspace,
         pack_arrays,
         packed_nbytes,
-        unpack_arrays,
     )
     from ..formats.dcsc import DCSCMatrix
-    from ..formats.vector_block import SparseVectorBlock
-    from .metrics import encode_record
 
     if spec.get("affinity") is not None and hasattr(os, "sched_setaffinity"):
         try:
@@ -515,63 +675,31 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
 
     for st in spec["strips"]:
         attach_strip(st)
-        workspaces[st["strip"]] = SpMSpVWorkspace(
-            strips[st["strip"]].nrows, dtype=np.dtype(st["dtype"]))
+        if st.get("format", "csc") == "csc":
+            workspaces[st["strip"]] = SpMSpVWorkspace(
+                strips[st["strip"]].nrows, dtype=np.dtype(st["dtype"]))
     reader = SlabReader()
     closers.append(reader)
     ctx = spec["ctx"]
     parent = os.getppid()
-    #: (call_id, strip) -> list of result vectors awaiting a bigger grant
+    #: (call_id, strip) -> result list awaiting a bigger grant
     retained: Dict[Tuple[int, int], List] = {}
 
-    def read_vector(region, vec_spec) -> SparseVector:
-        idx_desc, val_desc, n, sorted_flag = vec_spec
-        idx, vals = unpack_arrays(region, [idx_desc, val_desc])
-        return SparseVector(n, idx, vals, sorted=sorted_flag, check=False)
-
     def write_results(out_ref, results):
-        """Pack result vectors + metric matrices into the granted region.
+        """Pack results into the granted region; ``(payload, needed_bytes)``.
 
-        Returns ``(payload, needed_bytes)``; ``payload`` is ``None`` when
-        the region is too small (the parent re-grants ``needed_bytes``).
-        Execution records travel as dense int64 metric matrices *inside the
-        slab* — only their small structural meta rides the pipe — so the
-        per-call pipe traffic stays fixed-shape (PR 6 follow-up).  A kernel
-        result packs three arrays (indices, values, metrics); a column
-        partial (``partial`` op) packs four (rows, values, gpos, metrics) —
-        the per-result payload entries carry their own descriptor tuples,
-        so both shapes ride the same grow/flush machinery.
+        ``payload`` is ``None`` when the region is too small (the parent
+        re-grants ``needed_bytes``).
         """
-        arrays = []
-        metas = []
-        for r in results:
-            if hasattr(r, "gpos"):  # ColumnPartial: unreduced strip stream
-                arrays.append(np.ascontiguousarray(r.rows))
-                arrays.append(np.ascontiguousarray(r.vals))
-                arrays.append(np.ascontiguousarray(r.gpos))
-            else:
-                arrays.append(np.ascontiguousarray(r.vector.indices))
-                arrays.append(np.ascontiguousarray(r.vector.values))
-            rec_meta, metric_matrix = encode_record(r.record)
-            arrays.append(metric_matrix)
-            metas.append(rec_meta)
+        arrays: List[np.ndarray] = []
+        refs: List[_Ref] = []
+        entries = _encode_results(results, arrays, refs)
         region = reader.region(out_ref)
         needed = packed_nbytes(arrays)
         if needed > region.nbytes:
             return None, needed
-        descs = pack_arrays(region, arrays)
-        payload = []
-        at = 0
-        for i, r in enumerate(results):
-            if hasattr(r, "gpos"):
-                payload.append(((descs[at], descs[at + 1], descs[at + 2],
-                                 descs[at + 3]), r.nrows, metas[i], r.info))
-                at += 4
-            else:
-                payload.append(((descs[at], descs[at + 1], descs[at + 2]),
-                                r.vector.n, r.vector.sorted, metas[i], r.info))
-                at += 3
-        return payload, needed
+        _bind_refs(refs, pack_arrays(region, arrays))
+        return (needed, entries), needed
 
     while True:
         try:
@@ -614,33 +742,10 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                 return
             continue
 
-        call_id, strip_ids = msg[1], msg[2]
-        if op == "multiply":
-            (_, _, _, expected_versions, algorithm, sr, so, comp, kwargs,
-             in_ref, x_spec, mask_specs, out_refs) = msg
-            in_region = reader.region(in_ref)
-            x = read_vector(in_region, x_spec)
-            fn = get_algorithm(algorithm)
-            takes_ws = _accepts_workspace(fn)
-        elif op == "partial":
-            # column-split: one shared full-row mask, per-strip frontier
-            # slices riding the mask_specs slot of the generic message
-            (_, _, _, expected_versions, algorithm, sr, comp, out_dtype_str,
-             in_ref, mask_spec, x_specs, out_refs) = msg
-            in_region = reader.region(in_ref)
-            if mask_spec is None:
-                bitmap = None
-            else:
-                mvec = read_vector(in_region, mask_spec)
-                bitmap = mask_bitmap(mvec, mvec.n)
-        else:  # block
-            (_, _, _, expected_versions, sr, so, comp, merge, in_ref,
-             block_spec, mask_specs, out_refs) = msg
-            in_region = reader.region(in_ref)
-            block_descs, block_meta = block_spec
-            block = SparseVectorBlock.from_arrays(
-                block_meta, unpack_arrays(in_region, block_descs))
-
+        (_, call_id, strip_ids, expected_versions, in_ref, shared_spec,
+         strip_specs, out_refs) = msg
+        in_region = reader.region(in_ref)
+        shared = None
         outs = []
         for strip in strip_ids:
             try:
@@ -650,40 +755,13 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                         f"v{expected_versions.get(strip, 0)}, worker holds "
                         f"v{versions.get(strip, 0)} — a compaction raced "
                         f"this call")
-                if op == "multiply":
-                    mspec = mask_specs[strip]
-                    mask = (None if mspec is None
-                            else read_vector(in_region, mspec))
-                    kw = dict(kwargs)
-                    if takes_ws:
-                        kw["workspace"] = workspaces[strip]
-                    result = fn(strips[strip], x, ctx,
-                                semiring=get_semiring(sr), sorted_output=so,
-                                mask=mask, mask_complement=comp, **kw)
-                    results = [result]
-                elif op == "partial":
-                    idx_desc, val_desc, gpos_desc = x_specs[strip]
-                    idx, vals, gpos = unpack_arrays(
-                        in_region, [idx_desc, val_desc, gpos_desc])
-                    results = [column_partial(
-                        strips[strip], idx, vals, gpos, ctx,
-                        semiring=get_semiring(sr),
-                        out_dtype=np.dtype(out_dtype_str),
-                        algorithm=algorithm, bitmap=bitmap,
-                        mask_complement=comp)]
-                elif op == "block":
-                    mspecs = mask_specs[strip]
-                    masks = (None if mspecs is None
-                             else [None if ms is None
-                                   else read_vector(in_region, ms)
-                                   for ms in mspecs])
-                    results = spmspv_bucket_block(
-                        strips[strip], block, ctx, semiring=get_semiring(sr),
-                        sorted_output=so, masks=masks,
-                        mask_complement=comp, merge=merge,
-                        workspace=workspaces[strip])
-                else:
-                    raise BackendError(f"unknown backend op {op!r}")
+                if shared is None:  # decoded once per message, errors per strip
+                    shared = _prepare_call(
+                        op, _decode_inputs(shared_spec, in_region))
+                results = run_strip(
+                    op, strips[strip],
+                    {**shared, **_decode_inputs(strip_specs[strip], in_region)},
+                    ctx, workspaces.get(strip))
                 payload, needed = write_results(out_refs[strip], results)
                 if payload is None:
                     retained[(call_id, strip)] = results
@@ -692,7 +770,8 @@ def _worker_loop(conn, spec, closers):  # pragma: no cover - worker process
                     outs.append((strip, "ok", payload))
             except Exception as exc:
                 outs.append((strip, "err", _dump_exception(exc)))
-        stats = {strip: workspaces[strip].stats() for strip in strip_ids}
+        stats = {strip: workspaces[strip].stats() for strip in strip_ids
+                 if strip in workspaces}
         try:
             _send_obj(conn, ("done", call_id, outs, stats))
         except (BrokenPipeError, OSError):
@@ -782,31 +861,30 @@ class _Inflight:
     """Parent-side state of one submitted (possibly still running) call."""
 
     __slots__ = ("call_id", "op", "pending", "flushing", "payloads", "errors",
-                 "input_region", "out_regions", "abandoned",
-                 "finalized", "legacy_out",
+                 "input_region", "out_regions", "abandoned", "finalized",
                  # resilience state
-                 "proto", "mask_specs", "call_args", "outstanding", "lost",
+                 "proto", "strip_specs", "inputs", "outstanding", "lost",
                  "last_death", "attempts", "redispatches", "local_results",
                  "local_errors", "deadline_at", "used_fallback")
 
-    def __init__(self, call_id: int, op: str, input_region):
+    def __init__(self, call_id: int, op: str):
         self.call_id = call_id
         self.op = op
         self.pending: Set[int] = set()
         self.flushing: Set[int] = set()
         self.payloads: Dict[int, object] = {}
         self.errors: Dict[int, tuple] = {}
-        self.input_region = input_region
+        self.input_region = None
         self.out_regions: Dict[int, tuple] = {}
         self.abandoned = False
         self.finalized = False
-        self.legacy_out = 0
-        #: transport-ready call prologue, kept so lost strips can be resent
+        #: ``(input ref, encoded shared inputs)``, kept so lost strips can
+        #: be resent
         self.proto: Optional[tuple] = None
-        #: strip -> packed mask spec (all strips, for re-dispatch)
-        self.mask_specs: Dict[int, object] = {}
-        #: parent-side Python objects of the call (degraded-fallback inputs)
-        self.call_args: Dict[str, object] = {}
+        #: encoded per-strip inputs (all strips, for re-dispatch)
+        self.strip_specs: List[Dict] = []
+        #: ``(shared, strips)`` parent-side inputs (degraded-fallback only)
+        self.inputs: Optional[tuple] = None
         #: worker -> strips dispatched to it and not yet resolved
         self.outstanding: Dict[int, Set[int]] = {}
         #: strips lost to a worker death, awaiting retry/fallback/raise
@@ -836,29 +914,30 @@ class ProcessBackend(ExecutionBackend):
     count; strips are assigned round-robin, and a strip always runs on the
     same worker so its workspace persists), plus the comm plane's input
     arena and per-strip output slabs.  Per-call cost: one packed
-    shared-memory write of the frontier/block + mask slices (broadcast-once:
-    every strip attaches the same region), one shared-memory write per strip
-    of the output ``(indices, values)``, and small fixed-shape control
-    records over the pipes.
+    shared-memory write of the call's array inputs (broadcast-once: every
+    strip attaches the same region), one shared-memory write per strip of
+    its results, and small fixed-shape control records over the pipes.
 
     Environment knobs: ``REPRO_BACKEND_WORKERS`` caps the pool when the
     context doesn't, ``REPRO_BACKEND_START`` picks the multiprocessing start
     method (default ``fork`` where available — workers inherit the loaded
-    package; ``spawn`` re-imports it), ``REPRO_BACKEND_INPUT_SLAB`` /
+    package; ``spawn`` re-imports it), and ``REPRO_BACKEND_INPUT_SLAB`` /
     ``REPRO_BACKEND_OUTPUT_SLAB`` set the initial arena sizes (bytes; they
-    grow geometrically on demand), and ``REPRO_BACKEND_COMM_AUDIT=1``
-    additionally measures what the legacy pickle-over-pipe plane would have
-    shipped (the bench's before/after breakdown).  ``ExecutionContext.pin_workers``
+    grow geometrically on demand).  ``ExecutionContext.pin_workers``
     pins each worker to one CPU core (``os.sched_setaffinity``; silently a
     no-op where unsupported).
     """
 
     name = "process"
+    # the typed entry points the column engine calls, bound in this class's
+    # own namespace: the benchmark's layer tracer (e2ebench/tracing.py)
+    # times the process backend by wrapping these class-body attributes
+    submit_partial = ExecutionBackend.submit_partial
+    gather_multiply = ExecutionBackend.gather_multiply
 
     def __init__(self, *, strips: Sequence[CSCMatrix], shard_ctx: ExecutionContext,
-                 dtype, use_thread_pool: bool = False, workers: int = 0,
-                 scheme: str = "row"):
-        from ..core.workspace import SharedSlab, SlabArena  # late: avoids cycle
+                 dtype, workers: int = 0, scheme: str = "row"):
+        from ..core.workspace import SlabArena  # late: avoids import cycle
 
         self.shard_ctx = shard_ctx
         self.scheme = scheme
@@ -879,7 +958,8 @@ class ProcessBackend(ExecutionBackend):
         self._deadline_s: Optional[float] = getattr(shard_ctx, "deadline", None)
         self._shutdown_timeouts: Tuple[float, float, float] = tuple(
             getattr(shard_ctx, "shutdown_timeouts", (2.0, 1.0, 1.0)))
-        #: lazily-built parent-side workspaces for fallback recomputes
+        #: lazily-built parent-side workspaces for fallback recomputes of
+        #: the row ops (column partials use none)
         self._fallback_ws: Dict[int, object] = {}
         cap = int(workers) or int(os.environ.get("REPRO_BACKEND_WORKERS", "0") or 0) \
             or (os.cpu_count() or 1)
@@ -892,28 +972,16 @@ class ProcessBackend(ExecutionBackend):
         #: flat slab list shared by identity with the weakref finalizer —
         #: mutated in place (never rebound) when strips are updated
         self._slabs: List = []
-        #: strip -> the three slabs currently backing it (retired on update)
-        self._strip_slabs: List[List] = []
-        self._strip_specs = []
+        #: strip -> the slabs currently backing it (retired on update)
+        self._strip_slabs: List[List] = [[] for _ in strips]
+        #: strip -> the spec a worker attaches the strip from
+        self._strip_specs: List[Dict] = [{} for _ in strips]
         #: monotonically increasing per-strip version (bumped by update_strip)
         self._strip_versions: List[int] = [0] * self.num_strips
         #: (strip, version) update acks routed out of the reply stream
         self._strip_acks: Set[Tuple[int, int]] = set()
         for s, strip in enumerate(strips):
-            arrays = {}
-            slabs = []
-            for name in self._array_names:
-                slab = SharedSlab.create(getattr(strip, name))
-                self._slabs.append(slab)
-                slabs.append(slab)
-                arrays[name] = slab.meta
-            self._strip_slabs.append(slabs)
-            self._strip_specs.append({
-                "strip": s, "shape": strip.shape,
-                "sorted": getattr(strip, "sorted_within_columns", True),
-                "arrays": arrays, "format": self._strip_format,
-                "dtype": np.dtype(dtype).str, "version": 0,
-            })
+            self._share_strip(s, strip, 0)
         self._spa_rows = [strip.nrows for strip in strips]
         #: strip -> worker assignment (round-robin; fixed for the pool's life)
         self.assignment = [[s for s in range(self.num_strips)
@@ -937,18 +1005,12 @@ class ProcessBackend(ExecutionBackend):
                             for s in range(self.num_strips)]
         self._arenas: List = [self._input_arena, *self._out_arenas]
         #: per-op, per-strip grant size hints (grown from observed outputs)
-        self._grant_hint = {
-            "multiply": [out_bytes] * self.num_strips,
-            "block": [out_bytes] * self.num_strips,
-            "partial": [out_bytes] * self.num_strips,
-        }
-        self._audit = bool(os.environ.get(_COMM_AUDIT_ENV))
+        self._grant_hint = {op: [out_bytes] * self.num_strips for op in _OPS}
         self._comm: Dict[str, float] = {
             "calls": 0, "pipe_bytes_out": 0, "pipe_bytes_in": 0,
             "pipe_msgs_out": 0, "pipe_msgs_in": 0,
             "slab_bytes_in": 0, "slab_bytes_out": 0,
             "output_overflows": 0, "max_inflight": 0,
-            "legacy_pipe_bytes_out": 0, "legacy_pipe_bytes_in": 0,
         }
 
         self._health: Dict[str, object] = {
@@ -983,6 +1045,22 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # pool plumbing
     # ------------------------------------------------------------------ #
+    def _share_strip(self, s: int, matrix, version: int) -> None:
+        """Copy strip ``s`` into fresh shared-memory slabs and record its spec."""
+        from ..core.workspace import SharedSlab  # late: avoids import cycle
+
+        slabs = [SharedSlab.create(getattr(matrix, name))
+                 for name in self._array_names]
+        self._slabs.extend(slabs)
+        self._strip_slabs[s] = slabs
+        self._strip_specs[s] = {
+            "strip": s, "shape": matrix.shape,
+            "sorted": getattr(matrix, "sorted_within_columns", True),
+            "arrays": {name: slab.meta
+                       for name, slab in zip(self._array_names, slabs)},
+            "format": self._strip_format, "dtype": self._dtype.str,
+            "version": version}
+
     def _spawn(self, w: int) -> None:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         spec = {"strips": [self._strip_specs[s] for s in self.assignment[w]],
@@ -1088,8 +1166,6 @@ class ProcessBackend(ExecutionBackend):
         next call, which also reports the death once) attaches the already-
         updated strip specs.
         """
-        from ..core.workspace import SharedSlab  # late: avoids import cycle
-
         if self._closed:
             raise BackendError("process backend is closed")
         if self._tokens:
@@ -1102,22 +1178,11 @@ class ProcessBackend(ExecutionBackend):
                 f"expected {self._strips[strip].nrows} (row ranges are "
                 f"fixed at engine build)")
         old_slabs = list(self._strip_slabs[strip])
-        arrays = {}
-        new_slabs = []
-        for name in self._array_names:
-            slab = SharedSlab.create(getattr(matrix, name))
-            self._slabs.append(slab)
-            new_slabs.append(slab)
-            arrays[name] = slab.meta
         version = self._strip_versions[strip] + 1
-        spec = {"strip": strip, "shape": matrix.shape,
-                "sorted": getattr(matrix, "sorted_within_columns", True),
-                "arrays": arrays, "format": self._strip_format,
-                "dtype": self._dtype.str, "version": version}
         # commit parent-side state first: even if the worker dies below, its
         # respawn and the degraded-fallback path both see the new strip
-        self._strip_specs[strip] = spec
-        self._strip_slabs[strip] = new_slabs
+        self._share_strip(strip, matrix, version)
+        spec = self._strip_specs[strip]
         self._strip_versions[strip] = version
         self._strips[strip] = matrix
         w = strip % self.num_workers
@@ -1148,25 +1213,6 @@ class ProcessBackend(ExecutionBackend):
                 continue
             slab.close()
             slab.unlink()
-
-    @staticmethod
-    def _semiring_name(semiring: Semiring) -> str:
-        """Encode a semiring for transport (registered semirings only).
-
-        Built-in semirings carry lambdas, which do not pickle; both ends of
-        the pipe therefore exchange registry *names*.  An unregistered
-        custom semiring is rejected here, parent-side, with a clear message
-        instead of a worker-side pickling failure.
-        """
-        try:
-            if get_semiring(semiring.name) == semiring:
-                return semiring.name
-        except KeyError:
-            pass
-        raise NotSupportedError(
-            f"the process backend ships semirings by registry name, and "
-            f"{semiring!r} is not the registered semiring of that name; "
-            f"use the emulated backend for ad-hoc semirings")
 
     # ------------------------------------------------------------------ #
     # comm plane: packing, granting, pumping
@@ -1210,13 +1256,13 @@ class ProcessBackend(ExecutionBackend):
         token.out_regions[strip] = region
         return self._out_arenas[strip].ref(region)
 
-    def _begin_call(self, op: str, input_region) -> _Inflight:
+    def _begin_call(self, op: str) -> _Inflight:
         if self._closed:
             raise BackendError("process backend is closed")
         self._drain_ready()
         self._ensure_workers()
         self._call_seq += 1
-        token = _Inflight(self._call_seq, op, input_region)
+        token = _Inflight(self._call_seq, op)
         if self._deadline_s is not None:
             # the budget covers the whole call, measured from submission
             token.deadline_at = time.monotonic() + self._deadline_s
@@ -1358,7 +1404,7 @@ class ProcessBackend(ExecutionBackend):
         """(Re-)send a subset of the call's strips to worker ``w``.
 
         Builds the op message from the token's retained prologue
-        (``proto``/``mask_specs``) with fresh output grants — the input
+        (``proto``/``strip_specs``) with fresh output grants — the input
         region is still held by the token, so the resent call reads the
         exact bytes of the original dispatch and its results are
         bit-identical.  Bookkeeping (``pending``/``outstanding``) is updated
@@ -1374,7 +1420,7 @@ class ProcessBackend(ExecutionBackend):
             token.attempts[s] = token.attempts.get(s, 0) + 1
         msg = (token.op, token.call_id, strips,
                {s: self._strip_versions[s] for s in strips}, *token.proto,
-               {s: token.mask_specs[s] for s in strips}, out_refs)
+               {s: token.strip_specs[s] for s in strips}, out_refs)
         token.pending.add(w)
         token.outstanding.setdefault(w, set()).update(strips)
         self._send(w, msg)
@@ -1430,60 +1476,30 @@ class ProcessBackend(ExecutionBackend):
     def _fallback_strip(self, token: _Inflight, strip: int) -> None:
         """Recompute one lost strip in-process (the degraded path).
 
-        Runs the same kernel on the parent's own copy of the strip CSC with
-        the same shard context and Python-object inputs retained at submit
-        time, so the result is bit-identical to what the worker would have
-        produced.  The strip's output region (if any) is released here —
-        nothing will ever write it.
+        Runs the same strip call on the parent's own copy of the strip with
+        the same shard context and the inputs retained at submit time, so
+        the result is bit-identical to what the worker would have produced.
+        The strip's output region (if any) is released here — nothing will
+        ever write it.
         """
-        from ..core.dispatch import get_algorithm
-        from ..core.engine import _accepts_workspace
-        from ..core.spmspv_block import spmspv_bucket_block
-        from ..core.workspace import SpMSpVWorkspace
+        from ..core.workspace import SpMSpVWorkspace  # late: avoids cycle
 
         self._health["fallback_strips"] += 1
         old = token.out_regions.pop(strip, None)
         if old is not None:
             self._out_arenas[strip].release(old)
         ws = self._fallback_ws.get(strip)
-        if ws is None:
+        if ws is None and self.scheme == "row":
             ws = SpMSpVWorkspace(self._strips[strip].nrows, dtype=self._dtype)
             self._fallback_ws[strip] = ws
-        args = token.call_args
+        shared, strips = token.inputs
         try:
-            if token.op == "partial":
-                from ..core.spmspv_column import column_partial
-                from ..core.vector_ops import mask_bitmap
-
-                idx, vals, gpos = args["slices"][strip]
-                bitmap = mask_bitmap(args["mask"],
-                                     self._strips[strip].nrows)
-                token.local_results[strip] = [column_partial(
-                    self._strips[strip], idx, vals, gpos, self.shard_ctx,
-                    semiring=args["semiring"], out_dtype=args["out_dtype"],
-                    algorithm=args["algorithm"], bitmap=bitmap,
-                    mask_complement=args["mask_complement"])]
-            elif token.op == "multiply":
-                fn = get_algorithm(args["algorithm"])
-                kw = dict(args["kwargs"])
-                if _accepts_workspace(fn):
-                    kw["workspace"] = ws
-                result = fn(self._strips[strip], args["x"], self.shard_ctx,
-                            semiring=args["semiring"],
-                            sorted_output=args["sorted_output"],
-                            mask=args["mask_slices"][strip],
-                            mask_complement=args["mask_complement"], **kw)
-                token.local_results[strip] = [result]
-            else:
-                results = spmspv_bucket_block(
-                    self._strips[strip], args["block"], self.shard_ctx,
-                    semiring=args["semiring"],
-                    sorted_output=args["sorted_output"],
-                    masks=args["strip_masks"][strip],
-                    mask_complement=args["mask_complement"],
-                    merge=args["block_merge"], workspace=ws)
-                token.local_results[strip] = list(results)
-            self._stats[strip] = ws.stats()
+            token.local_results[strip] = run_strip(
+                token.op, self._strips[strip],
+                {**_prepare_call(token.op, shared), **strips[strip]},
+                self.shard_ctx, ws)
+            if ws is not None:
+                self._stats[strip] = ws.stats()
         except Exception as exc:
             # kernel exceptions are deterministic: surface exactly as a
             # worker-side failure would, annotated with the strip id
@@ -1504,98 +1520,39 @@ class ProcessBackend(ExecutionBackend):
         self._tokens.pop(token.call_id, None)
 
     def _read_results(self, token: _Inflight, strip: int) -> List:
-        """Copy a strip's packed result vectors out of its output region.
-
-        Each payload entry carries three region descriptors — output
-        indices, output values, and the dense int64 metric matrix of the
-        execution record (decoded here via
-        :func:`~repro.parallel.metrics.decode_record`).
-        """
-        from ..core.result import SpMSpVResult
-        from ..core.spmspv_column import ColumnPartial
-        from ..core.workspace import unpack_arrays
-        from .metrics import decode_record
-
-        region = self._out_arenas[strip].view(token.out_regions[strip])
-        results = []
-        if token.op == "partial":
-            for (r_desc, v_desc, g_desc, met_desc), nrows, rec_meta, info in \
-                    token.payloads[strip]:
-                rows, vals, gpos, metric_matrix = unpack_arrays(
-                    region, [r_desc, v_desc, g_desc, met_desc])
-                self._comm["slab_bytes_out"] += \
-                    rows.nbytes + vals.nbytes + gpos.nbytes + metric_matrix.nbytes
-                results.append(ColumnPartial(
-                    nrows=nrows, rows=rows.copy(), vals=vals.copy(),
-                    gpos=gpos.copy(),
-                    record=decode_record(rec_meta, metric_matrix), info=info))
-            hint = self._grant_hint[token.op]
-            if token.payloads[strip]:
-                total = _payload_nbytes(
-                    [d for descs, *_rest in token.payloads[strip] for d in descs])
-                hint[strip] = max(hint[strip], total + total // 4)
-            return results
-        for (idx_desc, val_desc, met_desc), n, sorted_flag, rec_meta, info in \
-                token.payloads[strip]:
-            idx, vals, metric_matrix = unpack_arrays(
-                region, [idx_desc, val_desc, met_desc])
-            self._comm["slab_bytes_out"] += \
-                idx.nbytes + vals.nbytes + metric_matrix.nbytes
-            results.append(SpMSpVResult(
-                vector=SparseVector(n, idx.copy(), vals.copy(),
-                                    sorted=sorted_flag, check=False),
-                record=decode_record(rec_meta, metric_matrix), info=info))
+        """Copy a strip's packed results out of its output region."""
+        needed, entries = token.payloads[strip]
+        self._comm["slab_bytes_out"] += needed
         hint = self._grant_hint[token.op]
-        if token.payloads[strip]:
-            total = _payload_nbytes(
-                [d for descs, *_rest in token.payloads[strip] for d in descs])
-            hint[strip] = max(hint[strip], total + total // 4)
-        return results
+        hint[strip] = max(hint[strip], needed + needed // 4)
+        return _decode_results(
+            entries, self._out_arenas[strip].view(token.out_regions[strip]))
 
     # ------------------------------------------------------------------ #
     # async submit/gather (the overlapped data plane)
     # ------------------------------------------------------------------ #
-    def submit_multiply(self, algorithm, x, *, semiring, sorted_output,
-                        mask_slices, mask_complement, kwargs):
-        sr = self._semiring_name(semiring)
-        arrays = [np.ascontiguousarray(x.indices),
-                  np.ascontiguousarray(x.values)]
-        mask_at: List[Optional[int]] = []
-        for mask in mask_slices:
-            if mask is None:
-                mask_at.append(None)
-            else:
-                mask_at.append(len(arrays))
-                arrays.append(np.ascontiguousarray(mask.indices))
-                arrays.append(np.ascontiguousarray(mask.values))
-        token = self._begin_call("multiply", None)
-        region, in_ref, descs = self._pack_input(arrays)
-        token.input_region = region
-        x_spec = (descs[0], descs[1], x.n, x.sorted)
-        token.proto = (algorithm, sr, sorted_output, mask_complement,
-                       kwargs, in_ref, x_spec)
-        for s in range(self.num_strips):
-            at = mask_at[s]
-            token.mask_specs[s] = None if at is None else (
-                descs[at], descs[at + 1], mask_slices[s].n,
-                mask_slices[s].sorted)
+    def submit(self, op, shared, strips):
+        """Pack the call's inputs once, grant outputs, dispatch every strip.
+
+        Every array input — shared or per-strip — rides one input-arena
+        region that all strips attach (broadcast-once); the pipe carries
+        only the encoded inputs' descriptors.  With degraded fallback on,
+        the parent-side inputs are retained for in-process recomputes.
+        """
+        arrays: List[np.ndarray] = []
+        refs: List[_Ref] = []
+        shared_spec = _encode_inputs(shared, arrays, refs)
+        strip_specs = [_encode_inputs(st, arrays, refs) for st in strips]
+        token = self._begin_call(op)
+        token.input_region, in_ref, descs = self._pack_input(arrays)
+        _bind_refs(refs, descs)
+        token.proto = (in_ref, shared_spec)
+        token.strip_specs = strip_specs
         if self._degraded_fallback:
-            token.call_args = {
-                "algorithm": algorithm, "x": x, "semiring": semiring,
-                "sorted_output": sorted_output, "mask_slices": mask_slices,
-                "mask_complement": mask_complement, "kwargs": kwargs}
+            token.inputs = (shared, strips)
         for w in range(self.num_workers):
             if self.assignment[w]:
                 self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("multiply", token.call_id, self.assignment[w], algorithm,
-                     x, sr, sorted_output,
-                     {s: mask_slices[s] for s in self.assignment[w]},
-                     mask_complement, kwargs)))
         return token
 
     def _raise_strip_error(self, token: _Inflight) -> None:
@@ -1614,194 +1571,26 @@ class ProcessBackend(ExecutionBackend):
             return token.local_results[strip]
         return self._read_results(token, strip)
 
-    def gather_multiply(self, token: _Inflight) -> List:
+    def gather(self, token: _Inflight) -> List[List]:
         try:
             self._pump_token(token)
             self._raise_strip_error(token)
-            results = [self._strip_results(token, s)[0]
-                       for s in range(self.num_strips)]
-            if self._audit:
-                self._audit_reply(token, [[r] for r in results])
-            return results
+            return [self._strip_results(token, s)
+                    for s in range(self.num_strips)]
         finally:
             self._finalize(token)
 
     def abandon(self, token: _Inflight) -> None:
         self._finalize(token)
 
-    def submit_partial(self, algorithm, slices, *, semiring, mask,
-                       mask_complement, out_dtype):
-        """Queue one column-partial fan-out over the slab comm plane.
-
-        Broadcast-once applies twice over: the (optional) full-row mask is
-        packed a single time for all strips, and each strip's frontier
-        *slice* — not the whole vector — rides the same input region (the
-        paper's work-efficiency point: a column strip reads only its
-        private piece of ``x``).  Per-strip slice specs travel in the
-        generic message's ``mask_specs`` slot, so the dispatch, retry and
-        re-grant machinery is untouched.
-        """
-        if self.scheme != "column":
-            raise NotSupportedError(
-                f"backend {self.name!r} was built for the "
-                f"{self.scheme!r} scheme; construct it with scheme='column' "
-                f"to run column partials")
-        sr = self._semiring_name(semiring)
-        arrays = []
-        if mask is not None:
-            arrays.append(np.ascontiguousarray(mask.indices))
-            arrays.append(np.ascontiguousarray(mask.values))
-        slice_at = []
-        for idx, vals, gpos in slices:
-            slice_at.append(len(arrays))
-            arrays.append(np.ascontiguousarray(idx))
-            arrays.append(np.ascontiguousarray(vals))
-            arrays.append(np.ascontiguousarray(gpos))
-        token = self._begin_call("partial", None)
-        region, in_ref, descs = self._pack_input(arrays)
-        token.input_region = region
-        mask_spec = None if mask is None else \
-            (descs[0], descs[1], mask.n, mask.sorted)
-        token.proto = (algorithm, sr, mask_complement,
-                       np.dtype(out_dtype).str, in_ref, mask_spec)
-        for s in range(self.num_strips):
-            at = slice_at[s]
-            token.mask_specs[s] = (descs[at], descs[at + 1], descs[at + 2])
-        if self._degraded_fallback:
-            token.call_args = {
-                "algorithm": algorithm, "slices": slices,
-                "semiring": semiring, "mask": mask,
-                "mask_complement": mask_complement,
-                "out_dtype": np.dtype(out_dtype)}
-        for w in range(self.num_workers):
-            if self.assignment[w]:
-                self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("partial", token.call_id, self.assignment[w], algorithm,
-                     [slices[s] for s in self.assignment[w]], sr, mask,
-                     mask_complement)))
-        return token
-
-    def gather_partial(self, token: _Inflight) -> List:
-        return self.gather_multiply(token)
-
-    def run_partial(self, algorithm, slices, *, semiring, mask,
-                    mask_complement, out_dtype):
-        return self.gather_partial(self.submit_partial(
-            algorithm, slices, semiring=semiring, mask=mask,
-            mask_complement=mask_complement, out_dtype=out_dtype))
-
-    def submit_block(self, block, *, semiring, sorted_output, strip_masks,
-                     mask_complement, block_merge):
-        sr = self._semiring_name(semiring)
-        block_meta, block_arrays = block.pack_arrays()
-        arrays = list(block_arrays)
-        #: strip -> None | list over k of None | index into ``arrays``
-        mask_at: List = []
-        for masks in strip_masks:
-            if masks is None:
-                mask_at.append(None)
-                continue
-            ats = []
-            for mask in masks:
-                if mask is None:
-                    ats.append(None)
-                else:
-                    ats.append(len(arrays))
-                    arrays.append(np.ascontiguousarray(mask.indices))
-                    arrays.append(np.ascontiguousarray(mask.values))
-            mask_at.append(ats)
-        token = self._begin_call("block", None)
-        region, in_ref, descs = self._pack_input(arrays)
-        token.input_region = region
-        block_spec = (descs[:4], block_meta)
-        token.proto = (sr, sorted_output, mask_complement, block_merge,
-                       in_ref, block_spec)
-        for s in range(self.num_strips):
-            ats = mask_at[s]
-            if ats is None:
-                token.mask_specs[s] = None
-            else:
-                token.mask_specs[s] = [
-                    None if at is None else (
-                        descs[at], descs[at + 1], strip_masks[s][i].n,
-                        strip_masks[s][i].sorted)
-                    for i, at in enumerate(ats)]
-        if self._degraded_fallback:
-            token.call_args = {
-                "block": block, "semiring": semiring,
-                "sorted_output": sorted_output, "strip_masks": strip_masks,
-                "mask_complement": mask_complement,
-                "block_merge": block_merge}
-        for w in range(self.num_workers):
-            if self.assignment[w]:
-                self._dispatch(token, w, self.assignment[w])
-        if self._audit:
-            for w in range(self.num_workers):
-                if not self.assignment[w]:
-                    continue
-                token.legacy_out += len(pickle.dumps(
-                    ("block", token.call_id, self.assignment[w], block, sr,
-                     sorted_output,
-                     {s: strip_masks[s] for s in self.assignment[w]},
-                     mask_complement, block_merge)))
-        return token
-
-    def gather_block(self, token: _Inflight) -> List[List]:
-        try:
-            self._pump_token(token)
-            self._raise_strip_error(token)
-            results = [self._strip_results(token, s)
-                       for s in range(self.num_strips)]
-            if self._audit:
-                self._audit_reply(token, results)
-            return results
-        finally:
-            self._finalize(token)
-
-    def _audit_reply(self, token: _Inflight, per_strip: List[List]) -> None:
-        """Account what the legacy pickle-over-pipe plane would have shipped."""
-        self._comm["legacy_pipe_bytes_out"] += token.legacy_out
-        for w in range(self.num_workers):
-            if not self.assignment[w]:
-                continue
-            outs = [(s, "ok", per_strip[s][0] if token.op == "multiply"
-                     else per_strip[s])
-                    for s in self.assignment[w]]
-            stats = {s: self._stats.get(s, _fresh_stats(self._spa_rows[s]))
-                     for s in self.assignment[w]}
-            self._comm["legacy_pipe_bytes_in"] += len(pickle.dumps(
-                ("done", token.call_id, outs, stats)))
-
     # ------------------------------------------------------------------ #
     # ExecutionBackend interface
     # ------------------------------------------------------------------ #
-    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
-                     mask_slices, mask_complement, kwargs):
-        return self.gather_multiply(self.submit_multiply(
-            algorithm, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs))
-
-    def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
-        return self.gather_block(self.submit_block(
-            block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge))
-
     def workspace_stats(self):
-        out = []
-        for s in range(self.num_strips):
-            stats = self._stats.get(s)
-            if stats is None:
-                stats = _fresh_stats(self._spa_rows[s])
-            out.append(stats)
-        return out
+        if self.scheme != "row":
+            return []  # column partials use no workspace, as in the emulated backend
+        return [self._stats.get(s) or _fresh_stats(self._spa_rows[s])
+                for s in range(self.num_strips)]
 
     def comm_stats(self) -> Dict[str, float]:
         """Comm-plane accounting: pipe vs. slab traffic, growth, overlap."""
@@ -1863,8 +1652,8 @@ def register_backend(name: str, factory: Callable[..., ExecutionBackend], *,
     """Register an execution backend under a context-selectable name.
 
     ``factory`` is called with the keyword arguments of
-    :func:`make_backend` (``strips``, ``shard_ctx``, ``dtype``,
-    ``use_thread_pool``, ``workers``, ``scheme``) and must return an
+    :func:`make_backend` (``strips``, ``shard_ctx``, ``dtype``, ``workers``,
+    ``scheme``) and must return an
     :class:`ExecutionBackend`.
     """
     if name in _BACKENDS and not overwrite:
@@ -1879,14 +1668,13 @@ def available_backends() -> List[str]:
 
 def make_backend(name: str, *, strips: Sequence[CSCMatrix],
                  shard_ctx: ExecutionContext, dtype,
-                 use_thread_pool: bool = False,
                  workers: int = 0, scheme: str = "row") -> ExecutionBackend:
     """Build the backend ``name`` for one sharded engine's strips.
 
     ``scheme`` names the partition the strips came from: ``"row"``
     (horizontal CSC strips, the default) or ``"column"`` (vertical
     :class:`~repro.formats.dcsc.DCSCMatrix` strips, enabling the
-    ``run_partial`` column-split operation).  When the
+    ``partial`` column-split op).  When the
     ``REPRO_BACKEND_FAULTS`` environment variable carries a fault plan (see
     :mod:`repro.parallel.faults`), requests for the ``process`` backend are
     transparently rerouted to the ``chaos`` wrapper, so every call site
@@ -1903,5 +1691,4 @@ def make_backend(name: str, *, strips: Sequence[CSCMatrix],
             f"unknown execution backend {name!r}; available: "
             f"{available_backends()}") from None
     return factory(strips=strips, shard_ctx=shard_ctx, dtype=dtype,
-                   use_thread_pool=use_thread_pool, workers=workers,
-                   scheme=scheme)
+                   workers=workers, scheme=scheme)

@@ -12,7 +12,7 @@ racy and covers one failure shape at a time.  This module makes failure a
   order tokens were gathered — reruns and bisects are exact.
 * :class:`ChaosBackend` — a wrapper around the real
   :class:`~repro.parallel.backends.ProcessBackend` that injects the
-  planned faults at the comm-plane seams: worker kills (SIGKILL before
+  planned faults at its one submit/gather seam: worker kills (SIGKILL before
   dispatch), mid-call kills (after dispatch, before gather), slow strips
   (a parent-side stall between submit and gather, exercising deadlines),
   output-slab overflow storms (grant hints clamped so every strip takes
@@ -34,7 +34,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -163,9 +163,10 @@ _CLAMPED_GRANT = 64
 class ChaosBackend(ExecutionBackend):
     """The real process backend with a :class:`FaultPlan` strapped to it.
 
-    Every public operation delegates to an inner
-    :class:`~repro.parallel.backends.ProcessBackend`; faults are injected
-    around the delegation, never inside it — the inner backend's recovery
+    Every strip call, whatever its op, reaches the inner
+    :class:`~repro.parallel.backends.ProcessBackend` through this wrapper's
+    generic :meth:`submit`/:meth:`gather` pair; faults are injected around
+    the delegation, never inside it — the inner backend's recovery
     machinery must cope with them exactly as it would with organic
     failures.  ``injected_stats()`` reports what was actually injected so
     tests can assert the plan fired.
@@ -217,8 +218,10 @@ class ChaosBackend(ExecutionBackend):
             hints[s] = _CLAMPED_GRANT
         self._injected["overflow"] += 1
 
-    def _before_submit(self, op: str, algorithm: Optional[str]):
-        """Run the call's pre-dispatch events; returns (events, algorithm)."""
+    # ------------------------------------------------------------------ #
+    # ExecutionBackend interface (delegate + inject at the one call seam)
+    # ------------------------------------------------------------------ #
+    def submit(self, op, shared, strips):
         i = self._call_index
         self._call_index += 1
         ev = self._plan.events(i)
@@ -226,88 +229,24 @@ class ChaosBackend(ExecutionBackend):
             self._kill_worker(i, "kill")
         if ev["overflow"]:
             self._clamp_grants(op)
-        if ev["poison"] and algorithm is not None:
+        if ev["poison"] and op == "multiply":
+            # poison swaps the multiply op's kernel; block and partial calls
+            # have no swappable kernel, so only kill/overflow/delay apply
             self._injected["poison"] += 1
-            algorithm = "_chaos_poison"
-        return i, ev, algorithm
-
-    def _after_submit(self, i: int, ev: Dict[str, bool], token) -> None:
+            shared = dict(shared, algorithm="_chaos_poison")
+        token = self._inner.submit(op, shared, strips)
         if ev["kill_mid"]:
             self._kill_worker(i, "kill_mid")
         if ev["delay"]:
             self._pending_delay[id(token)] = self._plan.delay_s
             self._injected["delay"] += 1
+        return token
 
-    def _before_gather(self, token) -> None:
+    def gather(self, token):
         delay = self._pending_delay.pop(id(token), None)
         if delay:
             time.sleep(delay)
-
-    # ------------------------------------------------------------------ #
-    # ExecutionBackend interface (delegate + inject)
-    # ------------------------------------------------------------------ #
-    def submit_multiply(self, algorithm, x, *, semiring, sorted_output,
-                        mask_slices, mask_complement, kwargs):
-        i, ev, algorithm = self._before_submit("multiply", algorithm)
-        token = self._inner.submit_multiply(
-            algorithm, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_multiply(self, token) -> List:
-        self._before_gather(token)
-        return self._inner.gather_multiply(token)
-
-    def submit_partial(self, algorithm, slices, *, semiring, mask,
-                       mask_complement, out_dtype):
-        # poison targets the multiply op's kernel table; a column partial
-        # has no swappable kernel, so only kill/overflow/delay events apply
-        i, ev, _ = self._before_submit("partial", None)
-        token = self._inner.submit_partial(
-            algorithm, slices, semiring=semiring, mask=mask,
-            mask_complement=mask_complement, out_dtype=out_dtype)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_partial(self, token) -> List:
-        self._before_gather(token)
-        return self._inner.gather_partial(token)
-
-    def run_partial(self, algorithm, slices, *, semiring, mask,
-                    mask_complement, out_dtype):
-        return self.gather_partial(self.submit_partial(
-            algorithm, slices, semiring=semiring, mask=mask,
-            mask_complement=mask_complement, out_dtype=out_dtype))
-
-    def submit_block(self, block, *, semiring, sorted_output, strip_masks,
-                     mask_complement, block_merge):
-        i, ev, _ = self._before_submit("block", None)
-        token = self._inner.submit_block(
-            block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge)
-        self._after_submit(i, ev, token)
-        return token
-
-    def gather_block(self, token) -> List[List]:
-        self._before_gather(token)
-        return self._inner.gather_block(token)
-
-    def run_multiply(self, algorithm, x, *, semiring, sorted_output,
-                     mask_slices, mask_complement, kwargs):
-        return self.gather_multiply(self.submit_multiply(
-            algorithm, x, semiring=semiring, sorted_output=sorted_output,
-            mask_slices=mask_slices, mask_complement=mask_complement,
-            kwargs=kwargs))
-
-    def run_block(self, block, *, semiring, sorted_output, strip_masks,
-                  mask_complement, block_merge):
-        return self.gather_block(self.submit_block(
-            block, semiring=semiring, sorted_output=sorted_output,
-            strip_masks=strip_masks, mask_complement=mask_complement,
-            block_merge=block_merge))
+        return self._inner.gather(token)
 
     def abandon(self, token) -> None:
         self._pending_delay.pop(id(token), None)
@@ -359,8 +298,8 @@ class ChaosBackend(ExecutionBackend):
         return getattr(self._inner, name)
 
 
-def _chaos_factory(*, strips, shard_ctx, dtype, use_thread_pool=False,
-                   workers=0, scheme="row") -> ChaosBackend:
+def _chaos_factory(*, strips, shard_ctx, dtype, workers=0,
+                   scheme="row") -> ChaosBackend:
     """Backend factory: plan from the environment, real pool underneath."""
     plan = plan_from_env() or FaultPlan()
     if plan.poison:
@@ -369,8 +308,7 @@ def _chaos_factory(*, strips, shard_ctx, dtype, use_thread_pool=False,
         # surfaces as an unknown-algorithm kernel error instead
         _register_poison()
     inner = ProcessBackend(strips=strips, shard_ctx=shard_ctx, dtype=dtype,
-                           use_thread_pool=use_thread_pool, workers=workers,
-                           scheme=scheme)
+                           workers=workers, scheme=scheme)
     return ChaosBackend(inner, plan)
 
 

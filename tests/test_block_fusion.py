@@ -395,31 +395,6 @@ def test_blocked_pagerank_detach():
 # --------------------------------------------------------------------------- #
 # segmented merge and early masking
 # --------------------------------------------------------------------------- #
-def test_block_merge_modes_bit_identical_through_engine():
-    matrix = random_csc(70, 70, 0.12, seed=51)
-    ctx = default_context(num_threads=3)
-    xs = [random_sparse_vector(70, nnz, seed=50 + nnz) for nnz in (5, 14, 26, 40)]
-    outputs = {}
-    for merge in ("segmented", "global"):
-        engine = SpMSpVEngine(matrix, ctx, algorithm="bucket")
-        outputs[merge] = engine.multiply_many(xs, block_mode="fused",
-                                              block_merge=merge)
-        assert all(r.info["merge"] == merge for r in outputs[merge])
-    for seg, glo in zip(outputs["segmented"], outputs["global"]):
-        assert np.array_equal(seg.vector.indices, glo.vector.indices)
-        assert np.array_equal(seg.vector.values, glo.vector.values)
-
-
-def test_block_merge_validation():
-    matrix = random_csc(30, 30, 0.2, seed=52)
-    engine = SpMSpVEngine(matrix, algorithm="bucket")
-    xs = [random_sparse_vector(30, 5, seed=s) for s in (1, 2)]
-    with pytest.raises(ValueError):
-        engine.multiply_many(xs, block_merge="quantum")
-    with pytest.raises(ValueError):
-        spmspv_bucket_block(matrix, xs, merge="quantum")
-
-
 def test_fused_early_mask_skips_dead_pairs():
     """Masked fused calls never scatter (row, vector-id) pairs the mask kills."""
     matrix = random_csc(60, 60, 0.15, seed=53)
@@ -442,14 +417,13 @@ def test_workspace_sort_keys_allocated_lazily_and_reused():
     matrix = random_csc(50, 50, 0.15, seed=54)
     engine = SpMSpVEngine(matrix, default_context(num_threads=2), algorithm="bucket")
     xs = [random_sparse_vector(50, 15, seed=70 + s) for s in range(6)]
-    # global merge never touches the int32 staging slab
-    engine.multiply_many(xs, block_mode="fused", block_merge="global")
-    assert engine.workspace.block.sort_keys is None
+    # a fresh engine holds no int16 staging slab
+    assert getattr(engine.workspace.block, "sort_keys", None) is None
     # the segmented merge allocates it once and reuses it across batches
-    engine.multiply_many(xs, block_mode="fused", block_merge="segmented")
+    engine.multiply_many(xs, block_mode="fused")
     keys = engine.workspace.block.sort_keys
     assert keys is not None and keys.dtype == np.int16
-    engine.multiply_many(xs, block_mode="fused", block_merge="segmented")
+    engine.multiply_many(xs, block_mode="fused")
     assert engine.workspace.block.sort_keys is keys
 
 

@@ -254,6 +254,31 @@ def test_column_updates_compact_eagerly_and_stay_exact():
     assert engine.delta_stats()["entries"] == 0  # nothing deferred
 
 
+def test_column_engine_holds_no_strip_workspace():
+    """Column partials never acquire a workspace, so an emulated column
+    engine builds none: no per-strip O(nrows) SPA and scratch beside the
+    matrix, before or after a multiply."""
+    import gc
+    import types
+
+    from repro.core.workspace import SpMSpVWorkspace
+
+    matrix = random_csc(40, 48, 0.15, seed=21)
+    x = SparseVector(48, np.array([2, 9, 30, 41]), np.array([1.0, 2.0, 3.0, 4.0]))
+    with ColumnShardedEngine(matrix, 4, default_context(backend="emulated"),
+                             algorithm="bucket") as engine:
+        engine.multiply(x)
+        seen, stack = set(), [engine]
+        while stack:  # everything the engine's own data graph retains
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                                   types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, SpMSpVWorkspace)
+            stack.extend(gc.get_referents(obj))
+
+
 def test_row_and_column_engines_report_the_same_shape():
     """Both sharded schemes answer every stats call with the same keys, so
     reporting and serving code can treat them alike; the summary names the

@@ -222,10 +222,10 @@ def test_abstract_backend_refuses_update_strip():
     class Minimal(ExecutionBackend):
         name = "minimal"
 
-        def run_multiply(self, *a, **k):  # pragma: no cover - never called
+        def submit(self, *a, **k):  # pragma: no cover - never called
             raise AssertionError
 
-        def run_block(self, *a, **k):  # pragma: no cover - never called
+        def gather(self, *a, **k):  # pragma: no cover - never called
             raise AssertionError
 
         def workspace_stats(self):  # pragma: no cover - never called

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ShardedEngine
+from repro.core import ColumnShardedEngine, ShardedEngine
 from repro.core.engine import SpMSpVEngine
 from repro.errors import BackendError, DeadlineError
 from repro.formats import SparseVector
@@ -47,12 +47,13 @@ def reference(matrix, x):
     return emu.multiply(x)
 
 
-def chaos_engine(monkeypatch, matrix, spec, **ctx_kwargs):
+def chaos_engine(monkeypatch, matrix, spec, *, engine_cls=ShardedEngine,
+                 **ctx_kwargs):
     """A process-backed engine rerouted through the chaos wrapper."""
     monkeypatch.setenv("REPRO_BACKEND_FAULTS", spec)
     ctx = default_context(backend="process", backend_workers=WORKERS,
                           **ctx_kwargs)
-    engine = ShardedEngine(matrix, SHARDS, ctx, algorithm="bucket")
+    engine = engine_cls(matrix, SHARDS, ctx, algorithm="bucket")
     assert isinstance(engine.backend, ChaosBackend)
     return engine
 
@@ -204,19 +205,37 @@ def test_retry_exhausted_without_fallback_raises_exactly_one_error(monkeypatch):
         engine.close()
 
 
-def test_degraded_fallback_keeps_a_sick_pool_serving(monkeypatch):
+@pytest.mark.parametrize("case", ["row-multiply", "row-fused-block",
+                                  "column-multiply"])
+def test_degraded_fallback_keeps_a_sick_pool_serving(monkeypatch, case):
     """Past the retry budget the strip is recomputed in-process — correct
-    answers at reduced speed instead of an error."""
+    answers at reduced speed instead of an error — for every strip op: the
+    row multiply, the fused row block and the column partial."""
     matrix, x = problem()
-    ref = reference(matrix, x)
+    engine_cls = ColumnShardedEngine if case == "column-multiply" else ShardedEngine
+    if case == "row-fused-block":
+        xs = [x, random_sparse_vector(55, 9, seed=4), x]
+
+        def call(engine):
+            results = engine.multiply_many(xs, block_mode="fused")
+            assert all(r.info["fused"] for r in results)
+            return results
+    else:
+        def call(engine):
+            return [engine.multiply(x)]
+    refs = call(engine_cls(matrix, SHARDS, default_context(backend="emulated"),
+                           algorithm="bucket"))
     engine = chaos_engine(monkeypatch, matrix, "seed=5,kill_mid=1.0",
+                          engine_cls=engine_cls,
                           retry=RetryPolicy(max_attempts=1),
                           degraded_fallback=True)
     try:
         for i in range(5):
-            assert_identical(ref, engine.multiply(x), f"degraded call {i}")
+            for ref, out in zip(refs, call(engine), strict=True):
+                assert_identical(ref, out, f"degraded {case} call {i}")
         health = engine.health_stats()
         assert health["fallback_calls"] > 0
+        assert health["fallback_strips"] > 0
         assert health["fallback_strips"] >= health["fallback_calls"]
         assert health["retries"] == 0        # budget said no retries
     finally:

@@ -146,7 +146,7 @@ def test_sharded_beyond_row_count_bit_identical(problem):
 
 
 @pytest.mark.parametrize("mask_mode", MASK_MODES)
-@pytest.mark.parametrize("block_merge", ["segmented", "global"])
+@pytest.mark.parametrize("block_merge", ["segmented"])
 @given(problems())
 @settings(**SETTINGS)
 def test_sharded_fused_multiply_many_bit_identical(mask_mode, block_merge, problem):
@@ -160,10 +160,10 @@ def test_sharded_fused_multiply_many_bit_identical(mask_mode, block_merge, probl
     masks = None if kw["mask"] is None else [mask] * len(xs)
     refs = SpMSpVEngine(matrix, ctx, algorithm="bucket").multiply_many(
         xs, masks=masks, mask_complement=kw["mask_complement"],
-        block_mode="fused", block_merge=block_merge)
+        block_mode="fused")
     outs = ShardedEngine(matrix, shards, ctx, algorithm="bucket").multiply_many(
         xs, masks=masks, mask_complement=kw["mask_complement"],
-        block_mode="fused", block_merge=block_merge)
+        block_mode="fused")
     for i, (ref, out) in enumerate(zip(refs, outs)):
         assert_same_pairs(ref.vector, out.vector,
                           f"fused vec {i} P={shards} merge={block_merge}")
